@@ -8,7 +8,8 @@ Subcommands:
     grid         run the full Monte-Carlo comparison grid
     demo         one end-to-end cell; writes per-pixel curve data for plotting
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.  Every run writes
+Exit codes: 0 success, 1 usage or input error (bad flags, unreadable or
+malformed input files), 2 numerical failure.  Every run writes
 a manifest.txt with the resolved configuration; `grid --from-manifest` reruns
 a recorded configuration and reproduces its CSV outputs byte-identically on
 the same platform.  The default output directory may be set with the
@@ -44,6 +45,16 @@ def _float_or_auto(text):
     if text == "auto":
         return "auto"
     return float(text)
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _csv_list(cast):
@@ -107,7 +118,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=128,
                    help="phantom resolution; 32 is the reduced CI mode")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel worker processes (capped at the CPU and cell counts)")
     p.add_argument("--kalman-window", type=int, default=13)
     p.add_argument("--kalman-q", type=_float_or_auto, default="auto")
     p.add_argument("--kalman-r", type=_float_or_auto, default="auto")
@@ -273,19 +285,24 @@ def _load_grid_manifest(args):
     entries = stackio.read_manifest(args.from_manifest)
     if entries.get("subcommand") != "grid":
         raise UsageError(f"{args.from_manifest} is not a grid manifest")
-    args.samples = tuple(entries["samples"].split(","))
-    args.methods = tuple(entries["methods"].split(","))
-    args.snrs = tuple(float(s) for s in entries["snrs"].split(","))
-    args.fractions = tuple(float(f) for f in entries["fractions"].split(","))
-    args.trials = int(entries["trials"])
-    args.seed = int(entries["seed"])
-    args.size = int(entries["size"])
-    args.kalman_window = int(entries["kalman_window"])
-    args.kalman_q = _float_or_auto(entries["kalman_q"])
-    args.kalman_r = _float_or_auto(entries["kalman_r"])
-    args.lm_max_iter = int(entries["lm_max_iter"])
-    args.lm_tol = float(entries["lm_tol"])
-    args.emit_maps = entries["emit_maps"] == "True"
+    try:
+        args.samples = tuple(entries["samples"].split(","))
+        args.methods = tuple(entries["methods"].split(","))
+        args.snrs = tuple(float(s) for s in entries["snrs"].split(","))
+        args.fractions = tuple(float(f) for f in entries["fractions"].split(","))
+        args.trials = int(entries["trials"])
+        args.seed = int(entries["seed"])
+        args.size = int(entries["size"])
+        args.kalman_window = int(entries["kalman_window"])
+        args.kalman_q = _float_or_auto(entries["kalman_q"])
+        args.kalman_r = _float_or_auto(entries["kalman_r"])
+        args.lm_max_iter = int(entries["lm_max_iter"])
+        args.lm_tol = float(entries["lm_tol"])
+        args.emit_maps = entries["emit_maps"] == "True"
+    except KeyError as exc:
+        raise stackio.InputError(f"{args.from_manifest}: grid manifest lacks {exc}") from None
+    except ValueError as exc:
+        raise stackio.InputError(f"{args.from_manifest}: malformed grid manifest: {exc}") from None
 
 
 def _cmd_grid(args):
@@ -410,6 +427,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"straintc: usage error: {exc}", file=sys.stderr)
+        return 1
+    except stackio.InputError as exc:
+        print(f"straintc: input error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"straintc: {exc}", file=sys.stderr)

@@ -12,11 +12,14 @@ ill-defined for a two-region phantom).
 
 The grid crosses sample presets, denoising methods, base SNR levels and
 good-frame fractions; within one cell all methods see the same degraded
-stack (matched seeds), so comparisons are paired.
+stack (matched seeds), so comparisons are paired.  A trial whose region has
+no converged pixel records NaN PRE and coverage 0 for that region rather
+than aborting the grid; the NaN then carries into the cell's pre_mean.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +40,10 @@ METHODS = ("noisy", "kalman", "spline")
 DEFAULT_SNRS = (30.0, 40.0, 60.0)
 DEFAULT_FRACTIONS = (0.20, 0.50, 0.75)
 REGIONS = ("inclusion", "background", "whole")
+
+
+class EmptyRegionError(ValueError):
+    """No converged pixel in a region, so its PRE is undefined."""
 
 
 @dataclass
@@ -77,7 +84,7 @@ def region_masks(spec):
 def _region_pre(tc, mask, region):
     sel = mask & tc.converged_mask
     if not sel.any():
-        raise ValueError(f"empty region: no converged pixels in {region!r}")
+        raise EmptyRegionError(f"empty region: no converged pixels in {region!r}")
     true_tau = float(tc.truth_map[mask].mean())
     mean_est = float(tc.tau_map[sel].mean())
     pre = (mean_est - true_tau) / true_tau * 100.0
@@ -89,7 +96,8 @@ def compute_pre(tc, region: str, inclusion_mask: np.ndarray) -> PREResult:
     """PRE of a TC image over a region ("inclusion", "background", "whole").
 
     Requires tc.truth_map.  Non-converged pixels are excluded from the mean
-    and reported through coverage instead.
+    and reported through coverage instead; a region (or, for "whole", either
+    region) without converged pixels raises EmptyRegionError.
     """
     if tc.truth_map is None:
         raise ValueError("compute_pre requires a TC image with a truth map")
@@ -155,9 +163,13 @@ def _run_cell(args):
             tc = fit_mod.fit_stack(cum, lm_config, truth)
             wall[method] += time.perf_counter() - start
             for region in REGIONS:
-                res = compute_pre(tc, region, inc_mask)
-                pres[method, region].append(res.pre_percent)
-                cover[method, region].append(res.coverage)
+                try:
+                    res = compute_pre(tc, region, inc_mask)
+                    pre, coverage = res.pre_percent, res.coverage
+                except EmptyRegionError:
+                    pre, coverage = np.nan, 0.0
+                pres[method, region].append(pre)
+                cover[method, region].append(coverage)
             if want_maps and trial == 0:
                 maps[method] = tc
     results = []
@@ -182,17 +194,21 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
     Results are deterministic for a given seed: each trial's noise seed is
     derived from (seed, sample, snr, fraction, trial) and aggregation order
     is fixed, so re-running a grid reproduces values bit-for-bit.  With
-    jobs > 1 cells run in separate processes; determinism is unaffected.
+    jobs > 1 cells run in separate processes, at most one per CPU and per
+    cell; determinism is unaffected.
     map_callback(sample, method, snr, fraction, tc) receives the first
     trial's TC image of each cell.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     cells = [(sample, float(snr), float(frac), tuple(methods), trials, seed,
               width, height, kalman_spec, lm_config, map_callback is not None)
              for sample in samples for snr in snrs for frac in fractions]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:
         outcomes = [_run_cell(cell) for cell in cells]

@@ -8,14 +8,22 @@ and the damping acts on the diagonal of J^T J (Marquardt scaling), which
 keeps the step scale-invariant.  tau is clamped to a configurable interval so
 noise-dominated pixels cannot run off to infinity.
 
-All pixels of a stack are fitted simultaneously: the iteration is vectorized
+All pixels of a stack are fitted by one engine whose iteration is vectorized
 over pixels, each pixel carrying its own parameters, damping and convergence
-state, and pixels drop out of the active set as they converge.  A single
+state.  Every operation of an iteration acts on each pixel's row alone, so a
+pixel's result does not depend on which other pixels share its batch: it is
+the same bit for bit whether the pixel is fitted alone, in a block or in the
+whole stack.  The engine uses that to save memory traffic.  It fits pixels
+in cache-sized blocks (about 1000 rows of 300 samples) and drops pixels from
+a block as they converge.  After a short first phase it pools the pixels
+still iterating in all blocks (the stragglers) into one batch, so a slow
+pixel costs one batch's iterations rather than one per block.  A single
 curve is just the one-pixel case of the same engine.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +35,14 @@ __all__ = ["LMConfig", "ExpFit", "TCImage", "exp_model", "jacobian",
            "initial_guess", "fit_exponential", "fit_stack", "cumulate"]
 
 _DAMPING_CAP = 1e14
+# bytes per (rows, n_samples) float64 array of one block: 1092 rows at 300
+# samples, so a block's working arrays stay in cache instead of streaming
+# through memory on every iteration
+_BLOCK_BYTES = 5 << 19
+# iterations each block runs before the pixels still active in all blocks are
+# pooled into one batch: otherwise every block that holds one slow pixel
+# would pay that pixel's iterations in per-call overhead
+_FIRST_PHASE = 16
 
 
 @dataclass(frozen=True)
@@ -111,7 +127,11 @@ def initial_guess(times, values):
     v, single = _as_batch(values)
     n = v.shape[1]
     n_tail = max(1, int(round(0.1 * n)))
-    eta0 = v[:, -n_tail:].mean(axis=1)
+    # sum the tail one sample column at a time, so that eta0 does not depend
+    # on the memory layout of v: numpy sums a C-ordered row pairwise but an
+    # F-ordered one sample by sample, which is the order used here and the
+    # one fit_stack's column-major pixel view has always had
+    eta0 = functools.reduce(np.add, v[:, -n_tail:].T) / n_tail
     gamma0 = v[:, 0] - eta0
     dev = np.abs(v - eta0[:, None])
     crossed = dev <= (np.abs(gamma0) / np.e)[:, None]
@@ -122,97 +142,137 @@ def initial_guess(times, values):
     return eta0, gamma0, tau0
 
 
+def _trial(times, y, eta, gamma, tau):
+    """Decay rows E = exp(-t / tau), residual rows y - (eta + gamma * E) and
+    their squared norms.  The residual is built in place: the same
+    arithmetic as the written expression without its two temporaries."""
+    E = np.divide(-times[None, :], tau[:, None])
+    np.exp(E, out=E)
+    resid = gamma[:, None] * E
+    resid += eta[:, None]
+    np.subtract(y, resid, out=resid)
+    return E, resid, np.einsum("pn,pn->p", resid, resid)
+
+
+def _normal_equations(times, E, resid, gamma, tau):
+    """Per-row J^T J (p, 3, 3) and J^T r (p, 3) from the decay rows E and the
+    residual rows; the tau column G of the Jacobian lives only in here."""
+    G = np.multiply((gamma / tau ** 2)[:, None], times[None, :])
+    G *= E
+    jtj = np.empty((E.shape[0], 3, 3))
+    jtj[:, 0, 0] = E.shape[1]
+    jtj[:, 0, 1] = jtj[:, 1, 0] = E.sum(axis=1)
+    jtj[:, 0, 2] = jtj[:, 2, 0] = G.sum(axis=1)
+    jtj[:, 1, 1] = np.einsum("pn,pn->p", E, E)
+    jtj[:, 1, 2] = jtj[:, 2, 1] = np.einsum("pn,pn->p", E, G)
+    jtj[:, 2, 2] = np.einsum("pn,pn->p", G, G)
+    jtr = np.stack([resid.sum(axis=1),
+                    np.einsum("pn,pn->p", E, resid),
+                    np.einsum("pn,pn->p", G, resid)], axis=1)
+    return jtj, jtr
+
+
 def _lm_engine(times, values, config):
     """Vectorized LM over a (n_pixels, n_samples) batch.
 
     Returns (eta, gamma, tau, residual_norm, iterations, converged) arrays.
     Constant curves are degenerate for this model: they get eta = value,
     gamma = 0, tau = NaN and converged = False without iterating.
+
+    Pixels run in blocks of _BLOCK_BYTES per (rows, n_samples) array for
+    _FIRST_PHASE iterations; the pixels still active in all blocks then run
+    the remaining iterations as one pooled batch.  A batch's state is the
+    list [rows, y, E, resid, cost]: the output indices of its active pixels,
+    their data, decay and residual rows, and current costs, compacted
+    whenever a pixel finishes.
     """
     n_pix, n = values.shape
     tau_floor, tau_ceil = config.resolve_bounds(times)
-
-    eta, gamma, tau = initial_guess(times, values)
-    eta, gamma, tau = map(np.array, (eta, gamma, tau))
-    tau = np.clip(tau, tau_floor, tau_ceil)
-    degenerate = np.ptp(values, axis=1) == 0.0
-    eta[degenerate] = values[degenerate, 0]
-    gamma[degenerate] = 0.0
-    tau[degenerate] = np.nan
-
+    eta, gamma, tau = np.empty(n_pix), np.empty(n_pix), np.empty(n_pix)
     lam = np.full(n_pix, config.initial_damping)
     iterations = np.zeros(n_pix, dtype=np.int64)
     converged = np.zeros(n_pix, dtype=bool)
     cost_out = np.zeros(n_pix)
 
-    active = np.flatnonzero(~degenerate)
-    E = np.exp(-times[None, :] / tau[active, None])
-    resid = values[active] - (eta[active, None] + gamma[active, None] * E)
-    cost = np.einsum("pn,pn->p", resid, resid)
-    cost_out[active] = cost
+    def start(lo, hi):
+        y = np.ascontiguousarray(values[lo:hi])
+        e, g, t = initial_guess(times, y)
+        t = np.clip(t, tau_floor, tau_ceil)
+        degenerate = np.ptp(y, axis=1) == 0.0
+        e[degenerate] = y[degenerate, 0]
+        g[degenerate] = 0.0
+        t[degenerate] = np.nan
+        eta[lo:hi], gamma[lo:hi], tau[lo:hi] = e, g, t
+        live = np.flatnonzero(~degenerate)
+        if live.size < y.shape[0]:
+            y, e, g, t = y[live], e[live], g[live], t[live]
+        rows = lo + live
+        E, resid, cost = _trial(times, y, e, g, t)
+        cost_out[rows] = cost
+        return [rows, y, E, resid, cost]
 
-    for _ in range(config.max_iterations):
-        if active.size == 0:
-            break
-        e, g, tv, la = eta[active], gamma[active], tau[active], lam[active]
-        G = (g / tv ** 2)[:, None] * times[None, :] * E
+    def iterate(state, n_iter):
+        # take the only references to the state's arrays, so that each
+        # superseded array is freed at once: a block's peak memory is the
+        # number of its (rows, n_samples) arrays alive together
+        rows, y, E, resid, cost = state
+        state.clear()
+        for _ in range(n_iter):
+            if rows.size == 0:
+                break
+            e, g, tv, la = eta[rows], gamma[rows], tau[rows], lam[rows]
+            jtj, jtr = _normal_equations(times, E, resid, g, tv)
+            grad_small = np.abs(jtr).max(axis=1) <= config.rel_tolerance
+            diag = jtj.diagonal(axis1=1, axis2=2)
+            # keep the damped system nonsingular even when a Jacobian column
+            # vanishes (gamma = 0 zeroes the tau column)
+            diag = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
+            jtj[:, [0, 1, 2], [0, 1, 2]] += la[:, None] * diag
+            step = np.linalg.solve(jtj, jtr[:, :, None])[:, :, 0]
 
-        sum_e = E.sum(axis=1)
-        sum_g = G.sum(axis=1)
-        sum_ee = np.einsum("pn,pn->p", E, E)
-        sum_eg = np.einsum("pn,pn->p", E, G)
-        sum_gg = np.einsum("pn,pn->p", G, G)
-        jtr = np.stack([resid.sum(axis=1),
-                        np.einsum("pn,pn->p", E, resid),
-                        np.einsum("pn,pn->p", G, resid)], axis=1)
-        grad_small = np.abs(jtr).max(axis=1) <= config.rel_tolerance
+            e_new = e + step[:, 0]
+            g_new = g + step[:, 1]
+            t_new = np.clip(tv + step[:, 2], tau_floor, tau_ceil)
+            E_new, resid_new, cost_new = _trial(times, y, e_new, g_new, t_new)
 
-        jtj = np.empty((active.size, 3, 3))
-        jtj[:, 0, 0] = n
-        jtj[:, 0, 1] = jtj[:, 1, 0] = sum_e
-        jtj[:, 0, 2] = jtj[:, 2, 0] = sum_g
-        jtj[:, 1, 1] = sum_ee
-        jtj[:, 1, 2] = jtj[:, 2, 1] = sum_eg
-        jtj[:, 2, 2] = sum_gg
-        diag = np.stack([jtj[:, 0, 0], sum_ee, sum_gg], axis=1)
-        # keep the damped system nonsingular even when a Jacobian column
-        # vanishes (gamma = 0 zeroes the tau column)
-        diag = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
-        damped = jtj.copy()
-        damped[:, [0, 1, 2], [0, 1, 2]] += la[:, None] * diag
-        step = np.linalg.solve(damped, jtr[:, :, None])[:, :, 0]
+            accept = cost_new < cost
+            reject = ~accept
+            iterations[rows] += 1
+            acc_idx = rows[accept]
+            eta[acc_idx] = e_new[accept]
+            gamma[acc_idx] = g_new[accept]
+            tau[acc_idx] = t_new[accept]
+            lam[acc_idx] = la[accept] / config.damping_down
+            lam[rows[reject]] = np.minimum(la[reject] * config.damping_up, _DAMPING_CAP)
+            small_reduction = accept & ((cost - cost_new) <= config.rel_tolerance * cost)
+            done = small_reduction | grad_small
 
-        e_new = e + step[:, 0]
-        g_new = g + step[:, 1]
-        t_new = np.clip(tv + step[:, 2], tau_floor, tau_ceil)
-        E_new = np.exp(-times[None, :] / t_new[:, None])
-        resid_new = values[active] - (e_new[:, None] + g_new[:, None] * E_new)
-        cost_new = np.einsum("pn,pn->p", resid_new, resid_new)
+            # the trial rows become the current ones, except where rejected
+            if reject.any():
+                E_new[reject] = E[reject]
+                resid_new[reject] = resid[reject]
+                cost_new[reject] = cost[reject]
+            E, resid, cost = E_new, resid_new, cost_new
+            del E_new, resid_new
+            cost_out[rows] = cost
+            if done.any():
+                converged[rows[done]] = True
+                keep = ~done
+                rows, cost = rows[keep], cost[keep]
+                y = y[keep]
+                E = E[keep]
+                resid = resid[keep]
+        return [rows, y, E, resid, cost]
 
-        accept = cost_new < cost
-        assert np.all(cost_new[accept] <= cost[accept])  # accepted cost never rises
-        iterations[active] += 1
-
-        acc_idx = active[accept]
-        eta[acc_idx] = e_new[accept]
-        gamma[acc_idx] = g_new[accept]
-        tau[acc_idx] = t_new[accept]
-        lam[acc_idx] = la[accept] / config.damping_down
-        rej_idx = active[~accept]
-        lam[rej_idx] = np.minimum(la[~accept] * config.damping_up, _DAMPING_CAP)
-
-        small_reduction = accept & ((cost - cost_new) <= config.rel_tolerance * cost)
-        done = small_reduction | grad_small
-        cost = np.where(accept, cost_new, cost)
-        cost_out[active] = cost
-        converged[active[done]] = True
-
-        keep = ~done
-        E = np.where(accept[:, None], E_new, E)[keep]
-        resid = np.where(accept[:, None], resid_new, resid)[keep]
-        cost = cost[keep]
-        active = active[keep]
-
+    n_blocks = max(1, -(-n_pix * n * 8 // _BLOCK_BYTES))
+    edges = [n_pix * k // n_blocks for k in range(n_blocks + 1)]
+    first = min(_FIRST_PHASE, config.max_iterations)
+    stragglers = [iterate(start(lo, hi), first) for lo, hi in zip(edges, edges[1:])]
+    stragglers = [state for state in stragglers if state[0].size]
+    if stragglers:
+        pooled = [np.concatenate(parts) for parts in zip(*stragglers)]
+        del stragglers
+        iterate(pooled, config.max_iterations - first)
     return eta, gamma, tau, np.sqrt(cost_out), iterations, converged
 
 

@@ -11,11 +11,13 @@ Stack files are self-describing little-endian binary:
     float64 x N*H*W   frames, frame-major then row-major
 
 Everything here is trivially parseable from any language without scientific
-file-format dependencies.
+file-format dependencies.  The readers raise InputError, a ValueError, for
+any file they cannot parse.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -23,20 +25,25 @@ import numpy as np
 from .degrade import FrameQualityMask
 from .phantom import StrainStack
 
-__all__ = ["write_stack", "read_stack", "write_mask", "read_mask",
+__all__ = ["InputError", "write_stack", "read_stack", "write_mask", "read_mask",
            "write_tc_csv", "read_tc_csv", "write_pgm", "write_manifest",
            "read_manifest"]
 
 MAGIC = b"STRAINSTACK\0"
 VERSION = 1
+_HEADER = struct.Struct("<IIIIdB")
 _KIND_FLAGS = {"incremental": 0, "cumulative": 1}
 _FLAG_KINDS = {v: k for k, v in _KIND_FLAGS.items()}
 
 
+class InputError(ValueError):
+    """A malformed input file: wrong format, truncated or unparseable."""
+
+
 def write_stack(path, stack: StrainStack) -> None:
     n, h, w = stack.frames.shape
-    header = MAGIC + struct.pack("<IIIIdB", VERSION, n, h, w,
-                                 stack.sample_time_s, _KIND_FLAGS[stack.kind])
+    header = MAGIC + _HEADER.pack(VERSION, n, h, w, stack.sample_time_s,
+                                  _KIND_FLAGS[stack.kind])
     payload = np.ascontiguousarray(stack.frames, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
@@ -47,19 +54,34 @@ def read_stack(path) -> StrainStack:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise ValueError(f"{path}: not a strain stack file (bad magic)")
-        fixed = fh.read(struct.calcsize("<IIIIdB"))
-        version, n, h, w, sample_time_s, kind_flag = struct.unpack("<IIIIdB", fixed)
+            raise InputError(f"{path}: not a strain stack file (bad magic)")
+        fixed = fh.read(_HEADER.size)
+        if len(fixed) != _HEADER.size:
+            raise InputError(f"{path}: truncated stack header")
+        version, n, h, w, sample_time_s, kind_flag = _HEADER.unpack(fixed)
         if version != VERSION:
-            raise ValueError(f"{path}: unsupported stack format version {version}")
+            raise InputError(f"{path}: unsupported stack format version {version}")
         if kind_flag not in _FLAG_KINDS:
-            raise ValueError(f"{path}: unknown stack kind flag {kind_flag}")
-        data = fh.read(n * h * w * 8)
-    frames = np.frombuffer(data, dtype="<f8")
-    if frames.size != n * h * w:
-        raise ValueError(f"{path}: truncated stack payload")
-    return StrainStack(frames.reshape(n, h, w).astype(np.float64),
-                       sample_time_s, _FLAG_KINDS[kind_flag])
+            raise InputError(f"{path}: unknown stack kind flag {kind_flag}")
+        # compare sizes before reading: a corrupt header can claim more
+        # frames than memory holds
+        if os.fstat(fh.fileno()).st_size - fh.tell() < n * h * w * 8:
+            raise InputError(f"{path}: truncated stack payload")
+        frames = np.frombuffer(fh.read(n * h * w * 8), dtype="<f8")
+    try:
+        return StrainStack(frames.reshape(n, h, w).astype(np.float64),
+                           sample_time_s, _FLAG_KINDS[kind_flag])
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_lines(path):
+    """Lines of a small UTF-8 text input file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
 
 
 def write_mask(path, mask: FrameQualityMask) -> None:
@@ -72,19 +94,24 @@ def write_mask(path, mask: FrameQualityMask) -> None:
 
 
 def read_mask(path) -> FrameQualityMask:
+    lines = _read_lines(path)
+    if not lines or lines[0].strip() != "frame,label,snr_db":
+        raise InputError(f"{path}: not a mask file")
     good, snrs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "frame,label,snr_db":
-            raise ValueError(f"{path}: not a mask file")
-        for expected, line in enumerate(fh):
+    for expected, line in enumerate(lines[1:]):
+        try:
             idx, label, snr = line.strip().split(",")
-            if int(idx) != expected:
-                raise ValueError(f"{path}: frame indices must be 0..N-1 in order")
-            if label not in ("good", "bad"):
-                raise ValueError(f"{path}: bad label {label!r}")
-            good.append(label == "good")
-            snrs.append(float(snr))
+            idx, snr = int(idx), float(snr)
+        except ValueError:
+            raise InputError(f"{path}: malformed mask line {line!r}") from None
+        if idx != expected:
+            raise InputError(f"{path}: frame indices must be 0..N-1 in order")
+        if label not in ("good", "bad"):
+            raise InputError(f"{path}: bad label {label!r}")
+        good.append(label == "good")
+        snrs.append(snr)
+    if not good:
+        raise InputError(f"{path}: mask file lists no frames")
     return FrameQualityMask(np.array(good, dtype=bool), np.array(snrs))
 
 
@@ -98,13 +125,12 @@ def write_tc_csv(path, values: np.ndarray) -> None:
 
 
 def read_tc_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.array(rows, dtype=np.float64)
+    lines = [line for line in _read_lines(path) if line.strip()]
+    try:
+        return np.array([[float(v) for v in line.split(",")] for line in lines],
+                        dtype=np.float64)
+    except ValueError:
+        raise InputError(f"{path}: not a numeric CSV map with equal-length rows") from None
 
 
 def write_pgm(path, values: np.ndarray, bounds_path=None) -> None:
@@ -147,13 +173,12 @@ def write_manifest(path, entries: dict) -> None:
 
 def read_manifest(path) -> dict:
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: malformed manifest line {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            entries[key] = value
+    for raw in _read_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}: malformed manifest line {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        entries[key] = value
     return entries

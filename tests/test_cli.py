@@ -130,6 +130,30 @@ def test_degrade_insufficient_good_frames_is_numerical_error(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_truncated_stack_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cut.stack"
+    path.write_bytes(b"STRAINSTACK\0\1\0")  # cut inside the header
+    assert run("fit", "--stack", str(path), "--out", str(tmp_path / "f")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("straintc: input error:")
+    assert "truncated stack header" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_grid_manifest_is_input_error(tmp_path, capsys):
+    path = tmp_path / "manifest.txt"
+    path.write_text("subcommand = grid\nsamples = A\n")
+    assert main(["grid", "--from-manifest", str(path), "--out", str(tmp_path / "g")]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_grid_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    assert main(grid_args(tmp_path / "g", **{"--jobs": jobs})) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_demo_outputs(tmp_path):
     out = tmp_path / "demo"
     assert run("demo", "--size", "16", "--seed", "3", "--out", str(out)) == 0

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from straintc import evaluate
 from straintc.degrade import NoiseSpec, add_noise, place_bad_frames
 from straintc.evaluate import (DetectorConfig, compute_pre, detect_bad_frames,
                                format_grid_table, region_masks, run_grid)
-from straintc.fit import TCImage
+from straintc.fit import LMConfig, TCImage
 from straintc.phantom import StrainStack, preset, synth_incremental, tau_map
 
 
@@ -140,6 +141,44 @@ def test_grid_map_callback():
 def test_grid_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials"):
         tiny_grid(trials=0)
+    with pytest.raises(ValueError, match="jobs"):
+        tiny_grid(jobs=0)
+
+
+def test_grid_empty_region_is_nan_not_abort():
+    # one LM iteration converges no pixel, so every region of every trial is
+    # empty; the grid still completes and reports it
+    res = tiny_grid(lm_config=LMConfig(max_iterations=1))
+    assert len(res) == 3 * 3
+    for r in res:
+        assert np.isnan(r.pre_mean) and np.isnan(r.pre_std)
+        assert r.coverage == 0.0
+
+
+@pytest.mark.parametrize("jobs, cpus, pools", [(64, 4, [3]), (64, 2, [2]), (2, 8, [2]),
+                                               (8, 1, [])])
+def test_grid_caps_workers(monkeypatch, jobs, cpus, pools):
+    # a recording stand-in for the pool: no worker process starts; 3 cells
+    # cap the workers at 3, and one usable worker runs the cells in-process
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(evaluate.os, "cpu_count", lambda: cpus)
+    res = tiny_grid(snrs=(30.0, 40.0, 60.0), trials=1, jobs=jobs)
+    assert seen == pools
+    assert len(res) == 3 * 3 * 3
 
 
 def test_format_grid_table():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from straintc import fit as fit_mod
 from straintc.degrade import NoiseSpec, add_noise, place_bad_frames
 from straintc.fit import (LMConfig, cumulate, exp_model, fit_exponential,
                           fit_stack, initial_guess, jacobian)
@@ -59,6 +60,14 @@ def test_initial_guess_on_clean_curve():
     assert np.sign(gamma0) == np.sign(values[0] - eta0)
 
 
+def test_initial_guess_ignores_memory_layout():
+    rng = np.random.default_rng(4)
+    values = exp_model(TIMES, 0.02, -0.01, 4.66) + 1e-3 * rng.standard_normal((64, 300))
+    for a, b in zip(initial_guess(TIMES, values),
+                    initial_guess(TIMES, np.asfortranarray(values))):
+        assert np.array_equal(a, b)
+
+
 def test_initial_guess_constant():
     _, gamma0, _ = initial_guess(TIMES, np.full(300, 0.5))
     assert gamma0 == 0.0
@@ -103,6 +112,33 @@ def test_validation_errors():
         LMConfig(max_iterations=0)
     with pytest.raises(ValueError):
         LMConfig(tau_floor=5.0, tau_ceiling=1.0).resolve_bounds(TIMES)
+
+
+def lm_step(t, y, params, lam, bounds):
+    """One Marquardt-damped step from params, written with the dense Jacobian."""
+    J = jacobian(t, *params)
+    jtj = J.T @ J
+    d = np.diag(jtj)
+    step = np.linalg.solve(jtj + lam * np.diag(np.maximum(d, 1e-12 * d.max())),
+                           J.T @ (y - exp_model(t, *params)))
+    eta, gamma, tau = np.add(params, step)
+    return eta, gamma, float(np.clip(tau, *bounds))
+
+
+def test_rejected_step_retries_from_the_kept_point():
+    # the first step overshoots and is rejected; the second must start again
+    # from the kept parameters and residuals with ten times the damping
+    rng = np.random.default_rng(0)
+    values = exp_model(TIMES, 0.02, -0.01, 1.0) + 1e-4 * rng.standard_normal(300)
+    config = LMConfig()
+    bounds = config.resolve_bounds(TIMES)
+    eta0, gamma0, tau0 = initial_guess(TIMES, values)
+    start = (eta0, gamma0, float(np.clip(tau0, *bounds)))
+    first = fit_exponential(TIMES, values, LMConfig(max_iterations=1))
+    assert (first.eta, first.gamma, first.tau) == start
+    second = fit_exponential(TIMES, values, LMConfig(max_iterations=2))
+    expected = lm_step(TIMES, values, start, config.initial_damping * config.damping_up, bounds)
+    np.testing.assert_allclose([second.eta, second.gamma, second.tau], expected, rtol=1e-9)
 
 
 def test_tau_stays_within_bounds():
@@ -226,3 +262,83 @@ def test_monotone_benefit_spline_vs_noisy():
                 tc = fit_stack(cumulate(stack))
                 med[name] = np.median(np.abs(tc.tau_map - truth))
             assert med["spline"] <= med["noisy"]
+
+
+@pytest.fixture(scope="module")
+def multi_block_stack():
+    """Noisy creep curves spanning three engine blocks, with a constant
+    (degenerate) pixel; the noise makes some pixels run all 200 LM
+    iterations and clamps others at a tau bound."""
+    rng = np.random.default_rng(7)
+    n, h, w = 300, 48, 50
+    t = frame_times(n, 0.5)
+    p = h * w
+    eta = rng.uniform(0.01, 0.05, p)
+    gamma = -rng.uniform(0.005, 0.02, p)
+    tau = rng.uniform(1.0, 20.0, p)
+    sigma = rng.uniform(1e-4, 1e-2, p)
+    curves = (eta[:, None] + gamma[:, None] * np.exp(-t[None, :] / tau[:, None])
+              + sigma[:, None] * rng.standard_normal((p, n)))
+    curves[1234] = 0.02
+    assert curves.nbytes > 2 * fit_mod._BLOCK_BYTES
+    return StrainStack(curves.T.reshape(n, h, w), 0.5, "cumulative")
+
+
+def test_blocked_stack_fit_matches_single_pixel_fits(multi_block_stack):
+    # every LM operation is row-wise, so a pixel fitted inside a block, in
+    # the pooled stragglers or alone gives the same bits
+    stack = multi_block_stack
+    n, h, w = stack.frames.shape
+    t = frame_times(n, stack.sample_time_s)
+    config = LMConfig()
+    eta, gamma, tau, rnorm, iters, conv = fit_mod._lm_engine(
+        t, stack.frames.reshape(n, h * w).T, config)
+    tc = fit_stack(stack)
+    assert np.array_equal(tc.tau_map.ravel(), tau, equal_nan=True)
+    assert np.array_equal(tc.converged_mask.ravel(), conv)
+    # the reported residual norm belongs to the reported parameters, also
+    # for pixels whose last trial step was rejected
+    live = ~np.isnan(tau)
+    resid = stack.frames.reshape(n, h * w).T[live] - exp_model(
+        t[None, :], eta[live, None], gamma[live, None], tau[live, None])
+    np.testing.assert_allclose(rnorm[live], np.sqrt(np.einsum("pn,pn->p", resid, resid)),
+                               rtol=1e-12, atol=0)
+
+    floor, ceil = config.resolve_bounds(t)
+    slow = np.flatnonzero(iters == config.max_iterations)
+    at_bound = np.flatnonzero((tau == floor) | (tau == ceil))
+    degenerate = np.flatnonzero(np.isnan(tau))
+    assert slow.size and at_bound.size and degenerate.size
+    sample = np.concatenate([slow[:2], at_bound[:2], degenerate,
+                             np.arange(0, h * w, 151)])
+    for i in sample:
+        f = fit_exponential(t, stack.frames[:, i // w, i % w], config)
+        assert np.array_equal([f.eta, f.gamma, f.tau, f.residual_norm],
+                              [eta[i], gamma[i], tau[i], rnorm[i]], equal_nan=True)
+        assert (f.iterations, f.converged) == (iters[i], conv[i])
+
+
+def test_fit_stack_halves_match_whole(multi_block_stack):
+    stack = multi_block_stack
+    whole = fit_stack(stack)
+    half = stack.frames.shape[1] // 2
+    parts = [fit_stack(StrainStack(frames, stack.sample_time_s, "cumulative"))
+             for frames in (stack.frames[:, :half], stack.frames[:, half:])]
+    assert np.array_equal(np.vstack([p.tau_map for p in parts]), whole.tau_map,
+                          equal_nan=True)
+    assert np.array_equal(np.vstack([p.converged_mask for p in parts]),
+                          whole.converged_mask)
+
+
+@pytest.mark.parametrize("max_iterations", [1, fit_mod._FIRST_PHASE - 1,
+                                            fit_mod._FIRST_PHASE + 3])
+def test_max_iterations_bounds_both_phases(multi_block_stack, max_iterations):
+    stack = multi_block_stack
+    n = stack.n_frames
+    t = frame_times(n, stack.sample_time_s)
+    *_, iters, conv = fit_mod._lm_engine(t, stack.frames.reshape(n, -1).T,
+                                         LMConfig(max_iterations=max_iterations))
+    assert iters.max() == max_iterations
+    # pixels that never converged ran every allowed iteration (the constant
+    # pixel runs none)
+    assert set(np.unique(iters[~conv])) == {0, max_iterations}

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,22 @@ def test_stack_truncated(tmp_path):
         stackio.read_stack(path)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"STRAINSTACK\0\1\0", "truncated stack header"),
+    (b"STRAINSTACK\0" + struct.pack("<IIIIdB", 1, 1, 1, 1, 0.5, 7), "kind flag"),
+    (b"STRAINSTACK\0" + struct.pack("<IIIIdB", 1, 1, 1, 1, -0.5, 0) + bytes(8),
+     "sample_time_s"),
+    # dimensions far beyond the file (and memory) must not be read
+    (b"STRAINSTACK\0" + struct.pack("<IIIIdB", 1, 4_000_000_000, 100_000, 100_000, 0.5, 0),
+     "truncated stack payload"),
+])
+def test_stack_malformed_header_is_input_error(tmp_path, raw, message):
+    path = tmp_path / "h.stack"
+    path.write_bytes(raw)
+    with pytest.raises(stackio.InputError, match=message):
+        stackio.read_stack(path)
+
+
 def test_mask_round_trip(tmp_path):
     good = np.array([True, False, True, True, False])
     mask = FrameQualityMask(good, np.where(good, 37.5, 0.0))
@@ -76,6 +94,35 @@ def test_mask_rejects_garbage(tmp_path):
     path.write_text("something,else\n")
     with pytest.raises(ValueError, match="not a mask file"):
         stackio.read_mask(path)
+
+
+@pytest.mark.parametrize("text", [
+    "frame,label,snr_db\n0,good\n",
+    "frame,label,snr_db\nzero,good,30.0\n",
+    "frame,label,snr_db\n1,good,30.0\n",
+    "frame,label,snr_db\n0,maybe,30.0\n",
+    "frame,label,snr_db\n",
+])
+def test_mask_malformed_is_input_error(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(stackio.InputError):
+        stackio.read_mask(path)
+
+
+def test_text_readers_reject_binary_files(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_bytes(b"\xff\xfe\x00binary")
+    for reader in (stackio.read_mask, stackio.read_manifest, stackio.read_tc_csv):
+        with pytest.raises(stackio.InputError, match="UTF-8"):
+            reader(path)
+
+
+def test_tc_csv_ragged_is_input_error(tmp_path):
+    path = tmp_path / "tc.csv"
+    path.write_text("1.0,2.0\n3.0\n")
+    with pytest.raises(stackio.InputError):
+        stackio.read_tc_csv(path)
 
 
 def test_tc_csv_round_trip(tmp_path):
