@@ -19,6 +19,7 @@ STRAINTC_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -41,12 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_or_auto(text):
-    if text == "auto":
-        return "auto"
-    return float(text)
-
-
 def _positive_int(text):
     try:
         value = int(text)
@@ -57,10 +52,42 @@ def _positive_int(text):
     return value
 
 
-def _csv_list(cast):
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _csv_list(cast, choices=None):
     def parse(text):
-        return tuple(cast(part) for part in text.split(",") if part)
+        values = tuple(cast(part) for part in text.split(",") if part)
+        unknown = [v for v in values if choices is not None and v not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {unknown[0]!r} (choose from {', '.join(choices)})")
+        return values
     return parse
+
+
+# parsers of the grid settings, shared by the flags and `grid --from-manifest`
+_GRID_FIELDS = {
+    "samples": _csv_list(str, phantom.PRESET_NAMES),
+    "methods": _csv_list(str, evaluate.METHODS),
+    "snrs": _csv_list(float),
+    "fractions": _csv_list(float),
+    "trials": int,
+    "seed": int,
+    "size": int,
+    "kalman_window": _positive_int,
+    "kalman_ratio": _positive_float,
+    "lm_max_iter": int,
+    "lm_tol": float,
+    "emit_maps": lambda text: text == "True",
+}
 
 
 def build_parser() -> _Parser:
@@ -94,11 +121,9 @@ def build_parser() -> _Parser:
     p.add_argument("--stack", required=True, help="input degraded incremental stack")
     p.add_argument("--method", choices=("spline", "kalman"), required=True)
     p.add_argument("--mask", help="frame quality mask CSV (required for spline)")
-    p.add_argument("--kalman-window", type=int, default=13)
-    p.add_argument("--kalman-q", type=_float_or_auto, default="auto",
-                   help="process noise variance or 'auto'")
-    p.add_argument("--kalman-r", type=_float_or_auto, default="auto",
-                   help="measurement noise variance or 'auto'")
+    p.add_argument("--kalman-window", type=_positive_int, default=13)
+    p.add_argument("--kalman-ratio", type=_positive_float, default=0.01,
+                   help="process to measurement noise variance ratio Q/R")
     add_out(p)
 
     p = sub.add_parser("fit", help="fit the creep model and write the TC image")
@@ -110,19 +135,20 @@ def build_parser() -> _Parser:
     add_out(p)
 
     p = sub.add_parser("grid", help="run the Monte-Carlo comparison grid")
-    p.add_argument("--samples", type=_csv_list(str), default=("A", "B", "C"))
-    p.add_argument("--methods", type=_csv_list(str), default=evaluate.METHODS)
-    p.add_argument("--snrs", type=_csv_list(float), default=evaluate.DEFAULT_SNRS)
-    p.add_argument("--fractions", type=_csv_list(float), default=evaluate.DEFAULT_FRACTIONS)
+    p.add_argument("--samples", type=_GRID_FIELDS["samples"], default=("A", "B", "C"))
+    p.add_argument("--methods", type=_GRID_FIELDS["methods"], default=evaluate.METHODS)
+    p.add_argument("--snrs", type=_GRID_FIELDS["snrs"], default=evaluate.DEFAULT_SNRS)
+    p.add_argument("--fractions", type=_GRID_FIELDS["fractions"],
+                   default=evaluate.DEFAULT_FRACTIONS)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=128,
                    help="phantom resolution; 32 is the reduced CI mode")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel worker processes (capped at the CPU and cell counts)")
-    p.add_argument("--kalman-window", type=int, default=13)
-    p.add_argument("--kalman-q", type=_float_or_auto, default="auto")
-    p.add_argument("--kalman-r", type=_float_or_auto, default="auto")
+    p.add_argument("--kalman-window", type=_positive_int, default=13)
+    p.add_argument("--kalman-ratio", type=_positive_float, default=0.01,
+                   help="process to measurement noise variance ratio Q/R")
     p.add_argument("--lm-max-iter", type=int, default=200)
     p.add_argument("--lm-tol", type=float, default=1e-10)
     p.add_argument("--emit-maps", action="store_true",
@@ -217,15 +243,13 @@ def _cmd_reconstruct(args):
         mask = stackio.read_mask(args.mask)
         result = reconstruct_stack(stack, mask)
     else:
-        spec = KalmanSpec(window_len=args.kalman_window,
-                          process_noise_var=args.kalman_q,
-                          measurement_noise_var=args.kalman_r)
+        spec = KalmanSpec(window_len=args.kalman_window, process_ratio=args.kalman_ratio)
         result = kalman_denoise(stack, spec)
     stackio.write_stack(_path(outdir, "reconstructed.stack"), result)
     _write_manifest(outdir, {"subcommand": "reconstruct", "stack": args.stack,
                              "method": args.method, "mask": args.mask or "",
                              "kalman_window": args.kalman_window,
-                             "kalman_q": args.kalman_q, "kalman_r": args.kalman_r})
+                             "kalman_ratio": args.kalman_ratio})
     print(f"reconstructed stack ({args.method}) written to {outdir}")
     return 0
 
@@ -254,6 +278,9 @@ def _cmd_fit(args):
     else:
         cumulated = False
     truth = stackio.read_tc_csv(args.truth) if args.truth else None
+    if truth is not None and truth.shape != stack.frames.shape[1:]:
+        raise stackio.InputError(f"{args.truth}: truth map shape {truth.shape} does not "
+                                 f"match the stack's {stack.frames.shape[1:]}")
     config = fit_mod.LMConfig(max_iterations=args.lm_max_iter, rel_tolerance=args.lm_tol)
     tc = fit_mod.fit_stack(stack, config, truth)
     stackio.write_tc_csv(_path(outdir, "tau_map.csv"), tc.tau_map)
@@ -276,42 +303,26 @@ def _cmd_fit(args):
     return 0
 
 
-_GRID_MANIFEST_KEYS = ("samples", "methods", "snrs", "fractions", "trials", "seed",
-                       "size", "kalman_window", "kalman_q", "kalman_r",
-                       "lm_max_iter", "lm_tol", "emit_maps")
-
-
 def _load_grid_manifest(args):
     entries = stackio.read_manifest(args.from_manifest)
     if entries.get("subcommand") != "grid":
         raise UsageError(f"{args.from_manifest} is not a grid manifest")
-    try:
-        args.samples = tuple(entries["samples"].split(","))
-        args.methods = tuple(entries["methods"].split(","))
-        args.snrs = tuple(float(s) for s in entries["snrs"].split(","))
-        args.fractions = tuple(float(f) for f in entries["fractions"].split(","))
-        args.trials = int(entries["trials"])
-        args.seed = int(entries["seed"])
-        args.size = int(entries["size"])
-        args.kalman_window = int(entries["kalman_window"])
-        args.kalman_q = _float_or_auto(entries["kalman_q"])
-        args.kalman_r = _float_or_auto(entries["kalman_r"])
-        args.lm_max_iter = int(entries["lm_max_iter"])
-        args.lm_tol = float(entries["lm_tol"])
-        args.emit_maps = entries["emit_maps"] == "True"
-    except KeyError as exc:
-        raise stackio.InputError(f"{args.from_manifest}: grid manifest lacks {exc}") from None
-    except ValueError as exc:
-        raise stackio.InputError(f"{args.from_manifest}: malformed grid manifest: {exc}") from None
+    for key, parse in _GRID_FIELDS.items():
+        try:
+            setattr(args, key, parse(entries[key]))
+        except KeyError:
+            raise stackio.InputError(
+                f"{args.from_manifest}: grid manifest lacks '{key}'") from None
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise stackio.InputError(
+                f"{args.from_manifest}: malformed grid manifest: {key}: {exc}") from None
 
 
 def _cmd_grid(args):
     outdir = _ensure_outdir(args)
     if args.from_manifest:
         _load_grid_manifest(args)
-    kalman_spec = KalmanSpec(window_len=args.kalman_window,
-                             process_noise_var=args.kalman_q,
-                             measurement_noise_var=args.kalman_r)
+    kalman_spec = KalmanSpec(window_len=args.kalman_window, process_ratio=args.kalman_ratio)
     lm_config = fit_mod.LMConfig(max_iterations=args.lm_max_iter,
                                  rel_tolerance=args.lm_tol)
 
@@ -355,9 +366,9 @@ def _cmd_grid(args):
                 "snrs": ",".join(f"{s:g}" for s in args.snrs),
                 "fractions": ",".join(repr(f) for f in args.fractions),
                 "trials": args.trials, "seed": args.seed, "size": args.size,
-                "kalman_window": args.kalman_window, "kalman_q": args.kalman_q,
-                "kalman_r": args.kalman_r, "lm_max_iter": args.lm_max_iter,
-                "lm_tol": args.lm_tol, "emit_maps": args.emit_maps}
+                "kalman_window": args.kalman_window, "kalman_ratio": args.kalman_ratio,
+                "lm_max_iter": args.lm_max_iter, "lm_tol": args.lm_tol,
+                "emit_maps": args.emit_maps}
     _write_manifest(outdir, manifest)
     print(f"grid of {len(args.samples) * len(args.snrs) * len(args.fractions)} cells "
           f"x {len(args.methods)} methods written to {outdir}")

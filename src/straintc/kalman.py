@@ -1,19 +1,23 @@
 """Fixed-lag Kalman smoothing baseline for per-pixel strain time series.
 
-Each pixel is filtered independently with a scalar random-walk state model
-(state = true incremental strain, transition = identity plus process noise)
-and then refined by fixed-lag smoothing: the output at frame k uses the
-measurements up to frame k + window_len - 1, so window_len = 1 degenerates
-to the causal filtered estimate.
+Each pixel's series is treated with a scalar random-walk state model (state =
+true incremental strain, transition = identity plus process noise Q) and
+measurement noise R, then refined by fixed-lag smoothing: the output at frame
+k uses the measurements up to frame k + window_len - 1, so window_len = 1
+degenerates to the causal filtered estimate.
 
-With explicit noise variances the whole operation is linear in the input.
-The "auto" measurement variance is estimated per pixel from first
-differences of the series: for white noise on a slowly varying signal,
-var(diff) is twice the noise variance.
+The initial state is the first sample with covariance R.  Every predicted and
+filtered covariance is then R times a number that depends only on Q/R, and so
+do the gains and smoother coefficients: the whole smoother is one fixed
+linear map along the time axis, the same for every pixel (Rauch, Tung and
+Striebel 1965; fixed-lag smoothing as a linear filter in Anderson and Moore,
+Optimal Filtering, 1979).  It is built once per call as an (n, n) matrix from
+(n, Q/R, window_len) and applied to all pixels with one matrix product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,103 +26,66 @@ from .phantom import StrainStack
 
 __all__ = ["KalmanSpec", "kalman_denoise", "kalman_denoise_series"]
 
-# default ratio of process to measurement noise variance under "auto"
-AUTO_PROCESS_RATIO = 0.01
-
 
 @dataclass(frozen=True)
 class KalmanSpec:
-    """Smoother settings; variances may be "auto" for per-pixel estimation."""
+    """Smoother settings: look-ahead window and process/measurement noise ratio Q/R."""
 
     window_len: int = 13
-    process_noise_var: float | str = "auto"
-    measurement_noise_var: float | str = "auto"
+    process_ratio: float = 0.01
 
     def __post_init__(self):
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
-        for name in ("process_noise_var", "measurement_noise_var"):
-            v = getattr(self, name)
-            if v != "auto" and not v > 0:
-                raise ValueError(f"{name} must be positive or 'auto', got {v}")
+        if not (math.isfinite(self.process_ratio) and self.process_ratio > 0):
+            raise ValueError(f"process_ratio must be finite and > 0, got {self.process_ratio}")
 
 
-def _resolve_variances(z, spec):
-    """Per-pixel (R, Q) arrays from explicit values or the auto estimate."""
-    n_pix = z.shape[0]
-    if spec.measurement_noise_var == "auto":
-        R = np.var(np.diff(z, axis=1), axis=1) / 2.0
-        R = np.maximum(R, 1e-300)
-    else:
-        R = np.full(n_pix, float(spec.measurement_noise_var))
-    if spec.process_noise_var == "auto":
-        Q = AUTO_PROCESS_RATIO * R
-    else:
-        Q = np.full(n_pix, float(spec.process_noise_var))
-    return R, Q
+def _smoother_matrix(n, ratio, window_len):
+    """(n, n) matrix K of the fixed-lag smoother, out = K @ z, with R = 1.
 
-
-def _forward_pass(z, R, Q):
-    """Standard predict/update recursion; returns filtered means, filtered
-    covariances and one-step predicted covariances.
-
-    Initial state is the first sample with covariance R (uninformative but
-    finite), then the first measurement is folded in like any other.
+    Row k of F holds the filtered estimate x_f[k] as weights on z.  For the
+    random-walk model the predicted mean equals the previous filtered mean,
+    so the smoother recursion at index i is
+        x_s[i] = x_f[i] + C_i * (x_s[i+1] - x_f[i]),  C_i = P_f[i] / P_p[i+1],
+    started from x_s[j] = x_f[j] at j = min(k + window_len - 1, n - 1).
     """
-    n_pix, n = z.shape
-    xf = np.empty_like(z)
-    Pf = np.empty_like(z)
-    Pp = np.empty_like(z)
-    x = z[:, 0].copy()
-    P = R.copy()
+    eye = np.eye(n)
+    F = np.empty((n, n))
+    Pf = np.empty(n)
+    Pp = np.empty(n)
+    x = eye[0]
+    P = 1.0
     for k in range(n):
         if k > 0:
-            P = P + Q
-        Pp[:, k] = P
-        gain = P / (P + R)
-        x = x + gain * (z[:, k] - x)
+            P = P + ratio
+        Pp[k] = P
+        gain = P / (P + 1.0)
+        x = x + gain * (eye[k] - x)
         P = (1.0 - gain) * P
-        xf[:, k] = x
-        Pf[:, k] = P
-    return xf, Pf, Pp
-
-
-def _fixed_lag_smooth(xf, Pf, Pp, window_len):
-    """Backward refinement over a sliding window of future measurements.
-
-    For the random-walk model the predicted mean equals the previous filtered
-    mean, so the smoother recursion at index i is
-        x_s[i] = x_f[i] + C_i * (x_s[i+1] - x_f[i]),  C_i = P_f[i] / P_p[i+1].
-    """
-    n = xf.shape[1]
-    out = np.empty_like(xf)
-    C = Pf[:, :-1] / Pp[:, 1:]
-    for k in range(n):
-        j = min(k + window_len - 1, n - 1)
-        xs = xf[:, j]
-        for i in range(j - 1, k - 1, -1):
-            xs = xf[:, i] + C[:, i] * (xs - xf[:, i])
-        out[:, k] = xs
-    return out
+        F[k] = x
+        Pf[k] = P
+    C = (Pf[:-1] / Pp[1:])[:, None]
+    K = F[np.minimum(np.arange(n) + window_len - 1, n - 1)]
+    # step s moves every row k with k + s < j back to index i = k + s
+    for s in range(min(window_len, n) - 2, -1, -1):
+        rows = slice(0, n - 1 - s)
+        Fi = F[s:n - 1]
+        K[rows] = Fi + C[s:] * (K[rows] - Fi)
+    return K
 
 
 def kalman_denoise_series(series, spec: KalmanSpec = KalmanSpec()) -> np.ndarray:
-    """Denoise time series; series is (n,) or (n_pixels, n) along axis 1."""
+    """Denoise time series; series is (n,) or (n_pixels, n) along the last axis."""
     z = np.asarray(series, dtype=np.float64)
-    one_d = z.ndim == 1
-    if one_d:
-        z = z[None, :]
-    if z.shape[1] < 1:
+    if z.shape[-1] < 1:
         raise ValueError("series must be non-empty")
-    R, Q = _resolve_variances(z, spec)
-    xf, Pf, Pp = _forward_pass(z, R, Q)
-    out = _fixed_lag_smooth(xf, Pf, Pp, spec.window_len)
-    return out[0] if one_d else out
+    return z @ _smoother_matrix(z.shape[-1], spec.process_ratio, spec.window_len).T
 
 
 def kalman_denoise(stack: StrainStack, spec: KalmanSpec = KalmanSpec()) -> StrainStack:
     """Apply the fixed-lag smoother to every pixel of an incremental stack."""
-    n, height, width = stack.frames.shape
-    z = stack.frames.reshape(n, height * width).T
-    out = kalman_denoise_series(z, spec).T.reshape(n, height, width)
-    return StrainStack(out, stack.sample_time_s, stack.kind)
+    n = stack.n_frames
+    K = _smoother_matrix(n, spec.process_ratio, spec.window_len)
+    out = K @ stack.frames.reshape(n, -1)
+    return StrainStack(out.reshape(stack.frames.shape), stack.sample_time_s, stack.kind)

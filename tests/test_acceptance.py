@@ -185,7 +185,7 @@ def test_criterion_6_monotone_in_good_fraction(grid):
 
 
 def test_criterion_7_kalman_baseline_sanity():
-    spec = KalmanSpec(measurement_noise_var=1e-6, process_noise_var=1e-9)
+    spec = KalmanSpec(process_ratio=1e-3)
     const = kalman_denoise_series(np.full(300, 0.02), spec)
     const_ok = abs(const[-1] - 0.02) < 1e-6
 
@@ -193,7 +193,7 @@ def test_criterion_7_kalman_baseline_sanity():
     noise = rng.standard_normal((10_000, 60))
     var_ok = kalman_denoise_series(noise).var() < noise.var()
 
-    lin_spec = KalmanSpec(measurement_noise_var=1e-3, process_noise_var=1e-5)
+    lin_spec = KalmanSpec(process_ratio=1e-2)
     x, y = rng.standard_normal((2, 150))
     combined = kalman_denoise_series(2.5 * x - 1.25 * y, lin_spec)
     parts = 2.5 * kalman_denoise_series(x, lin_spec) - 1.25 * kalman_denoise_series(y, lin_spec)

@@ -166,6 +166,20 @@ def test_demo_outputs(tmp_path):
     assert clean_tau == pytest.approx(4.66, rel=1e-3)
 
 
+def test_fit_truth_shape_mismatch_is_input_error(tmp_path, capsys):
+    synth = tmp_path / "synth"
+    run("synth", "--preset", "A", "--width", "8", "--height", "8", "--frames", "20",
+        "--out", str(synth))
+    truth = tmp_path / "truth.csv"
+    stackio.write_tc_csv(truth, np.full((2, 2), 4.66))
+    assert run("fit", "--stack", str(synth / "cumulative.stack"), "--truth", str(truth),
+               "--out", str(tmp_path / "f")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("straintc: input error:")
+    assert "(2, 2)" in err and "(8, 8)" in err
+    assert "Traceback" not in err
+
+
 def test_demo_pixel_bounds(tmp_path):
     assert run("demo", "--size", "16", "--pixel", "99,0", "--out", str(tmp_path / "x")) == 1
 
@@ -240,3 +254,68 @@ def test_grid_csv_columns(tmp_path):
     assert set(rows[0]) == {"sample", "method", "snr_db", "good_fraction",
                             "region", "pre_mean", "pre_std", "coverage"}
     assert len(rows) == 3 * 3  # methods x regions
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "Z"), ("--samples", "AB"),
+                                         ("--samples", "A,Z"), ("--methods", "foo"),
+                                         ("--kalman-window", "0"),
+                                         ("--kalman-ratio", "0"), ("--kalman-ratio", "-1"),
+                                         ("--kalman-ratio", "nan"), ("--kalman-ratio", "inf")])
+def test_bad_grid_flag_value_is_usage_error(tmp_path, capsys, flag, value):
+    assert main(grid_args(tmp_path / "g", **{flag: value})) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--kalman-window", "0"), ("--kalman-ratio", "0"),
+                                         ("--kalman-ratio", "nan"),
+                                         ("--kalman-ratio", "inf")])
+def test_bad_reconstruct_kalman_flag_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "r"
+    assert run("reconstruct", "--stack", str(tmp_path / "none.stack"), "--method", "kalman",
+               flag, value, "--out", str(out)) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+GRID_MANIFEST = {"subcommand": "grid", "samples": "A", "methods": "noisy", "snrs": "60",
+                 "fractions": "0.75", "trials": "1", "seed": "4", "size": "8",
+                 "kalman_window": "13", "kalman_ratio": "0.01", "lm_max_iter": "200",
+                 "lm_tol": "1e-10", "emit_maps": "False"}
+
+
+@pytest.mark.parametrize("key, value", [("samples", "Z"), ("samples", "AB"),
+                                        ("methods", "foo"), ("kalman_window", "0"),
+                                        ("kalman_ratio", "nan")])
+def test_bad_grid_manifest_value_is_input_error(tmp_path, capsys, key, value):
+    path = tmp_path / "manifest.txt"
+    stackio.write_manifest(path, {**GRID_MANIFEST, key: value})
+    out = tmp_path / "g"
+    assert main(["grid", "--from-manifest", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("straintc: input error:") and key in err
+    assert not (out / "grid.csv").exists()
+
+
+def test_grid_kalman_ratio_is_recorded_and_rerun(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(grid_args(out, **{"--methods": "kalman", "--kalman-ratio": "0.05"})) == 0
+    manifest = stackio.read_manifest(out / "manifest.txt")
+    assert manifest["kalman_ratio"] == "0.05"
+    assert "kalman_q" not in manifest and "kalman_r" not in manifest
+    default = tmp_path / "default"
+    assert main(grid_args(default, **{"--methods": "kalman"})) == 0
+    assert (default / "grid.csv").read_bytes() != (out / "grid.csv").read_bytes()
+
+    rerun = tmp_path / "rerun"
+    assert main(["grid", "--from-manifest", str(out / "manifest.txt"),
+                 "--out", str(rerun)]) == 0
+    assert (rerun / "grid.csv").read_bytes() == (out / "grid.csv").read_bytes()
+
+    # a manifest from before the ratio flag records two variances instead
+    old = tmp_path / "old_manifest.txt"
+    del manifest["kalman_ratio"]
+    stackio.write_manifest(old, {**manifest, "kalman_q": "auto", "kalman_r": "auto"})
+    capsys.readouterr()
+    assert main(["grid", "--from-manifest", str(old), "--out", str(tmp_path / "o")]) == 1
+    assert "lacks 'kalman_ratio'" in capsys.readouterr().err

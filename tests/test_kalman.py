@@ -1,14 +1,45 @@
 import numpy as np
 import pytest
 
-from straintc.kalman import KalmanSpec, _forward_pass, _resolve_variances, kalman_denoise, kalman_denoise_series
+from straintc.kalman import KalmanSpec, kalman_denoise, kalman_denoise_series
 from straintc.phantom import StrainStack
+
+
+def reference_filter(z, q, r):
+    """Scalar random-walk Kalman filter with explicit variances Q and R, one
+    frame at a time: filtered means, filtered and predicted covariances."""
+    xf, pf, pp = [], [], []
+    x, p = z[0], r
+    for k, zk in enumerate(z):
+        if k > 0:
+            p = p + q
+        pp.append(p)
+        gain = p / (p + r)
+        x = x + gain * (zk - x)
+        p = (1.0 - gain) * p
+        xf.append(x)
+        pf.append(p)
+    return xf, pf, pp
+
+
+def reference_smoother(z, q, r, window_len):
+    """Fixed-lag backward pass over reference_filter: frame k is refined with
+    the measurements up to frame k + window_len - 1."""
+    xf, pf, pp = reference_filter(z, q, r)
+    n = len(z)
+    out = np.empty(n)
+    for k in range(n):
+        j = min(k + window_len - 1, n - 1)
+        xs = xf[j]
+        for i in range(j - 1, k - 1, -1):
+            xs = xf[i] + pf[i] / pp[i + 1] * (xs - xf[i])
+        out[k] = xs
+    return out
 
 
 def test_constant_signal_convergence():
     z = np.full(300, 0.02)
-    out = kalman_denoise_series(z, KalmanSpec(measurement_noise_var=1e-6,
-                                              process_noise_var=1e-9))
+    out = kalman_denoise_series(z, KalmanSpec(process_ratio=1e-3))
     err = np.abs(out - 0.02)
     assert np.all(np.diff(err) <= 1e-15)  # error never grows
     assert err[-1] < 1e-6
@@ -17,13 +48,12 @@ def test_constant_signal_convergence():
 def test_large_process_noise_trusts_measurements():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(200)
-    out = kalman_denoise_series(z, KalmanSpec(measurement_noise_var=1e-4,
-                                              process_noise_var=1e4))
+    out = kalman_denoise_series(z, KalmanSpec(process_ratio=1e8))
     assert np.allclose(out, z, rtol=0, atol=1e-6)
 
 
 def test_variance_reduction_on_white_noise():
-    # 10^4 independent realizations, auto variances: the smoother must shrink
+    # 10^4 independent realizations, default ratio: the smoother must shrink
     # zero-mean white noise
     rng = np.random.default_rng(1)
     z = rng.standard_normal((10_000, 60))
@@ -34,7 +64,7 @@ def test_variance_reduction_on_white_noise():
 
 def test_linearity_with_explicit_variances():
     rng = np.random.default_rng(2)
-    spec = KalmanSpec(measurement_noise_var=1e-3, process_noise_var=1e-5)
+    spec = KalmanSpec(process_ratio=1e-2)
     x = rng.standard_normal(120)
     y = rng.standard_normal(120)
     a, b = 1.7, -0.4
@@ -53,11 +83,22 @@ def test_output_finite():
 def test_window_one_is_causal_filter():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((7, 90))
-    spec = KalmanSpec(window_len=1, measurement_noise_var=0.5, process_noise_var=0.01)
-    out = kalman_denoise_series(z, spec)
-    R, Q = _resolve_variances(z, spec)
-    xf, _, _ = _forward_pass(z, R, Q)
-    assert np.array_equal(out, xf)
+    out = kalman_denoise_series(z, KalmanSpec(window_len=1, process_ratio=0.01 / 0.5))
+    for row, series in zip(out, z):
+        xf, _, _ = reference_filter(series, 0.01, 0.5)
+        np.testing.assert_allclose(row, xf, rtol=1e-12, atol=0)
+
+
+# two (Q, R) pairs with one ratio: the output depends on Q/R alone
+@pytest.mark.parametrize("q, r", [(0.01, 1.0), (0.01 * 2.0**-20, 2.0**-20)])
+@pytest.mark.parametrize("window_len", [1, 13, 200])
+def test_matches_scalar_reference_smoother(window_len, q, r):
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((5, 90)) * np.sqrt(r)
+    out = kalman_denoise_series(z, KalmanSpec(window_len=window_len, process_ratio=0.01))
+    for row, series in zip(out, z):
+        np.testing.assert_allclose(row, reference_smoother(series, q, r, window_len),
+                                   rtol=1e-12, atol=0)
 
 
 def test_window_limits_lookahead():
@@ -65,7 +106,7 @@ def test_window_limits_lookahead():
     # k + window_len - 1
     rng = np.random.default_rng(5)
     z = rng.standard_normal(100)
-    spec = KalmanSpec(window_len=13, measurement_noise_var=0.2, process_noise_var=0.02)
+    spec = KalmanSpec(window_len=13, process_ratio=0.1)
     base = kalman_denoise_series(z, spec)
     z2 = z.copy()
     k = 40
@@ -78,8 +119,8 @@ def test_window_limits_lookahead():
 def test_longer_window_smooths_more():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((2000, 80))
-    spec1 = KalmanSpec(window_len=1, measurement_noise_var=1.0, process_noise_var=0.05)
-    spec13 = KalmanSpec(window_len=13, measurement_noise_var=1.0, process_noise_var=0.05)
+    spec1 = KalmanSpec(window_len=1, process_ratio=0.05)
+    spec13 = KalmanSpec(window_len=13, process_ratio=0.05)
     assert kalman_denoise_series(z, spec13).var() < kalman_denoise_series(z, spec1).var()
 
 
@@ -98,13 +139,16 @@ def test_stack_wrapper_preserves_shape_and_time():
 def test_spec_validation():
     with pytest.raises(ValueError):
         KalmanSpec(window_len=0)
-    with pytest.raises(ValueError):
-        KalmanSpec(measurement_noise_var=-1.0)
-    with pytest.raises(ValueError):
-        KalmanSpec(process_noise_var=0.0)
+    for ratio in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            KalmanSpec(process_ratio=ratio)
 
 
-def test_constant_input_auto_variances():
-    # var(diff) = 0 floors internally instead of dividing by zero
+def test_empty_series_is_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        kalman_denoise_series(np.empty(0))
+
+
+def test_constant_input_default_spec():
     out = kalman_denoise_series(np.full(50, 3.3))
     assert np.allclose(out, 3.3, rtol=0, atol=1e-12)
