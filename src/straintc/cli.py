@@ -62,6 +62,16 @@ def _positive_float(text):
     return value
 
 
+def _fraction(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
 def _csv_list(cast, choices=None):
     def parse(text):
         values = tuple(cast(part) for part in text.split(",") if part)
@@ -78,14 +88,14 @@ _GRID_FIELDS = {
     "samples": _csv_list(str, phantom.PRESET_NAMES),
     "methods": _csv_list(str, evaluate.METHODS),
     "snrs": _csv_list(float),
-    "fractions": _csv_list(float),
-    "trials": int,
+    "fractions": _csv_list(_fraction),
+    "trials": _positive_int,
     "seed": int,
-    "size": int,
+    "size": _positive_int,
     "kalman_window": _positive_int,
     "kalman_ratio": _positive_float,
-    "lm_max_iter": int,
-    "lm_tol": float,
+    "lm_max_iter": _positive_int,
+    "lm_tol": _positive_float,
     "emit_maps": lambda text: text == "True",
 }
 
@@ -102,17 +112,17 @@ def build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=phantom.PRESET_NAMES, help="built-in sample preset")
     src.add_argument("--config", help="phantom config file (key = value lines)")
-    p.add_argument("--width", type=int, help="override width in pixels")
-    p.add_argument("--height", type=int, help="override height in pixels")
-    p.add_argument("--frames", type=int, help="override frame count")
-    p.add_argument("--sample-time-s", type=float, help="override sampling time")
+    p.add_argument("--width", type=_positive_int, help="override width in pixels")
+    p.add_argument("--height", type=_positive_int, help="override height in pixels")
+    p.add_argument("--frames", type=_positive_int, help="override frame count")
+    p.add_argument("--sample-time-s", type=_positive_float, help="override sampling time")
     add_out(p)
 
     p = sub.add_parser("degrade", help="corrupt an incremental stack")
     p.add_argument("--stack", required=True, help="input incremental stack file")
     p.add_argument("--snr-db", type=float, default=30.0, help="base SNR of good frames")
     p.add_argument("--bad-snr-db", type=float, default=0.0, help="SNR of bad frames")
-    p.add_argument("--good-fraction", type=float, default=0.75,
+    p.add_argument("--good-fraction", type=_fraction, default=0.75,
                    help="fraction of frames kept good")
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
@@ -130,8 +140,8 @@ def build_parser() -> _Parser:
     p.add_argument("--stack", required=True,
                    help="input stack; incremental input is cumulated first")
     p.add_argument("--truth", help="ground-truth tau map CSV for PRE output")
-    p.add_argument("--lm-max-iter", type=int, default=200)
-    p.add_argument("--lm-tol", type=float, default=1e-10)
+    p.add_argument("--lm-max-iter", type=_positive_int, default=200)
+    p.add_argument("--lm-tol", type=_positive_float, default=1e-10)
     add_out(p)
 
     p = sub.add_parser("grid", help="run the Monte-Carlo comparison grid")
@@ -140,17 +150,17 @@ def build_parser() -> _Parser:
     p.add_argument("--snrs", type=_GRID_FIELDS["snrs"], default=evaluate.DEFAULT_SNRS)
     p.add_argument("--fractions", type=_GRID_FIELDS["fractions"],
                    default=evaluate.DEFAULT_FRACTIONS)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=128,
+    p.add_argument("--size", type=_positive_int, default=128,
                    help="phantom resolution; 32 is the reduced CI mode")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel worker processes (capped at the CPU and cell counts)")
     p.add_argument("--kalman-window", type=_positive_int, default=13)
     p.add_argument("--kalman-ratio", type=_positive_float, default=0.01,
                    help="process to measurement noise variance ratio Q/R")
-    p.add_argument("--lm-max-iter", type=int, default=200)
-    p.add_argument("--lm-tol", type=float, default=1e-10)
+    p.add_argument("--lm-max-iter", type=_positive_int, default=200)
+    p.add_argument("--lm-tol", type=_positive_float, default=1e-10)
     p.add_argument("--emit-maps", action="store_true",
                    help="write TC maps (CSV + PGM) for the first trial of each cell")
     p.add_argument("--from-manifest",
@@ -160,9 +170,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("demo", help="one end-to-end cell with per-pixel curve output")
     p.add_argument("--preset", choices=phantom.PRESET_NAMES, default="A")
     p.add_argument("--snr-db", type=float, default=60.0)
-    p.add_argument("--good-fraction", type=float, default=0.75)
+    p.add_argument("--good-fraction", type=_fraction, default=0.75)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=128)
+    p.add_argument("--size", type=_positive_int, default=128)
     p.add_argument("--pixel", help="row,col of the plotted pixel (default: center)")
     add_out(p)
 
@@ -188,7 +198,6 @@ def _write_manifest(outdir, entries):
 # subcommands
 
 def _cmd_synth(args):
-    outdir = _ensure_outdir(args)
     if args.preset:
         spec = phantom.preset(args.preset)
     else:
@@ -204,7 +213,11 @@ def _cmd_synth(args):
         overrides["sample_time_s"] = args.sample_time_s
     if overrides:
         from dataclasses import replace
-        spec = replace(spec, **overrides)
+        try:
+            spec = replace(spec, **overrides)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    outdir = _ensure_outdir(args)
     stackio.write_stack(_path(outdir, "incremental.stack"), phantom.synth_incremental(spec))
     stackio.write_stack(_path(outdir, "cumulative.stack"), phantom.synth_cumulative(spec))
     stackio.write_tc_csv(_path(outdir, "tau_true.csv"), phantom.tau_map(spec))

@@ -195,7 +195,7 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
     derived from (seed, sample, snr, fraction, trial) and aggregation order
     is fixed, so re-running a grid reproduces values bit-for-bit.  With
     jobs > 1 cells run in separate processes, at most one per CPU and per
-    cell; determinism is unaffected.
+    cell, each fitting on one thread; determinism is unaffected.
     map_callback(sample, method, snr, fraction, tc) receives the first
     trial's TC image of each cell.
     """
@@ -208,7 +208,9 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
              for sample in samples for snr in snrs for frac in fractions]
     workers = min(jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one fit thread per worker: the workers already share out the CPUs
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=fit_mod._one_fit_thread) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:
         outcomes = [_run_cell(cell) for cell in cells]

@@ -17,13 +17,18 @@ whole stack.  The engine uses that to save memory traffic.  It fits pixels
 in cache-sized blocks (about 1000 rows of 300 samples) and drops pixels from
 a block as they converge.  After a short first phase it pools the pixels
 still iterating in all blocks (the stragglers) into one batch, so a slow
-pixel costs one batch's iterations rather than one per block.  A single
-curve is just the one-pixel case of the same engine.
+pixel costs one batch's iterations rather than one per block.  The blocks
+of the first phase run on a thread pool, one thread per CPU (numpy releases
+the interpreter lock inside its array loops); since rows are independent,
+the results are the same as from one thread.  A single curve is just the
+one-pixel case of the same engine.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +48,18 @@ _BLOCK_BYTES = 5 << 19
 # pooled into one batch: otherwise every block that holds one slow pixel
 # would pay that pixel's iterations in per-call overhead
 _FIRST_PHASE = 16
+
+
+# threads one fit may spread its first-phase blocks over; a run_grid pool
+# worker lowers it to 1 through _one_fit_thread, because its sibling workers
+# already keep the other CPUs busy
+_fit_threads = os.cpu_count() or 1
+
+
+def _one_fit_thread():
+    """Process-pool initializer: fit every block on the calling thread."""
+    global _fit_threads
+    _fit_threads = 1
 
 
 @dataclass(frozen=True)
@@ -180,8 +197,10 @@ def _lm_engine(times, values, config):
     gamma = 0, tau = NaN and converged = False without iterating.
 
     Pixels run in blocks of _BLOCK_BYTES per (rows, n_samples) array for
-    _FIRST_PHASE iterations; the pixels still active in all blocks then run
-    the remaining iterations as one pooled batch.  A batch's state is the
+    _FIRST_PHASE iterations, up to _fit_threads blocks at a time; the pixels
+    still active in all blocks then run the remaining iterations as one
+    pooled batch on the calling thread.  Blocks share only the output
+    arrays, and write disjoint rows of them.  A batch's state is the
     list [rows, y, E, resid, cost]: the output indices of its active pixels,
     their data, decay and residual rows, and current costs, compacted
     whenever a pixel finishes.
@@ -267,7 +286,18 @@ def _lm_engine(times, values, config):
     n_blocks = max(1, -(-n_pix * n * 8 // _BLOCK_BYTES))
     edges = [n_pix * k // n_blocks for k in range(n_blocks + 1)]
     first = min(_FIRST_PHASE, config.max_iterations)
-    stragglers = [iterate(start(lo, hi), first) for lo, hi in zip(edges, edges[1:])]
+
+    def first_phase(lo, hi):
+        return iterate(start(lo, hi), first)
+
+    threads = min(n_blocks, _fit_threads)
+    # the pool lives only for this call: run_grid forks its worker processes,
+    # and no thread may be alive at a fork
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            stragglers = list(pool.map(first_phase, edges[:-1], edges[1:]))
+    else:
+        stragglers = list(map(first_phase, edges[:-1], edges[1:]))
     stragglers = [state for state in stragglers if state[0].size]
     if stragglers:
         pooled = [np.concatenate(parts) for parts in zip(*stragglers)]
@@ -322,5 +352,12 @@ def cumulate(stack: StrainStack) -> StrainStack:
     """Running sum of an incremental stack along the frame axis."""
     if stack.kind != "incremental":
         raise ValueError("cumulate expects an incremental stack")
-    return StrainStack(np.cumsum(stack.frames, axis=0), stack.sample_time_s, "cumulative")
+    # frame by frame, the same sums as np.cumsum(axis=0), which instead
+    # strides across all frames once per pixel
+    frames = stack.frames
+    out = np.empty_like(frames)
+    out[:1] = frames[:1]
+    for k in range(1, frames.shape[0]):
+        np.add(out[k - 1], frames[k], out=out[k])
+    return StrainStack(out, stack.sample_time_s, "cumulative")
 

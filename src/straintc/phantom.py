@@ -241,7 +241,19 @@ _REGION_KEYS = ("young_modulus", "poisson_ratio", "tau", "eta", "gamma")
 
 
 def spec_from_config_text(text: str) -> PhantomSpec:
-    """Parse a PhantomSpec from key = value text (see module docstring)."""
+    """Parse a PhantomSpec from key = value text (see module docstring).
+
+    Malformed text and values the spec rejects raise stackio.InputError.
+    """
+    from .stackio import InputError  # stackio imports this module
+
+    try:
+        return _parse_config(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _parse_config(text):
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -295,8 +307,14 @@ def spec_from_config_text(text: str) -> PhantomSpec:
 
 
 def spec_from_config_file(path) -> PhantomSpec:
+    """spec_from_config_text of a UTF-8 file; errors name the file."""
+    from .stackio import InputError  # stackio imports this module
+
     with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_config_text(fh.read())
+        try:
+            return spec_from_config_text(fh.read())
+        except ValueError as exc:  # InputError, or a file that is not UTF-8
+            raise InputError(f"{path}: {exc}") from None
 
 
 def spec_to_config_text(spec: PhantomSpec) -> str:

@@ -63,14 +63,16 @@ def _natural_second_derivatives(knots, values):
     return M
 
 
-def _interval_coefficients(knots, values, M):
-    """(a, b, c, d) per interval from values and knot second derivatives."""
-    h = np.diff(knots)
+def _interval_coefficients(knots, values, M, intervals):
+    """(a, b, c, d) of the listed intervals, one row each, from values and
+    knot second derivatives."""
+    lo, hi = intervals, intervals + 1
+    h = knots[hi] - knots[lo]
     hc = h[:, None] if values.ndim == 2 else h
-    a = (M[1:] - M[:-1]) / (6.0 * hc)
-    b = M[:-1] / 2.0
-    c = np.diff(values, axis=0) / hc - hc * (2.0 * M[:-1] + M[1:]) / 6.0
-    d = values[:-1].copy()
+    a = (M[hi] - M[lo]) / (6.0 * hc)
+    b = M[lo] / 2.0
+    c = (values[hi] - values[lo]) / hc - hc * (2.0 * M[lo] + M[hi]) / 6.0
+    d = values[lo]
     return a, b, c, d
 
 
@@ -109,7 +111,7 @@ def build_natural_spline(knots_t, values) -> CubicSpline:
     if not (np.all(np.isfinite(knots_t)) and np.all(np.isfinite(values))):
         raise ValueError("knots and values must be finite")
     M = _natural_second_derivatives(knots_t, values)
-    a, b, c, d = _interval_coefficients(knots_t, values, M)
+    a, b, c, d = _interval_coefficients(knots_t, values, M, np.arange(knots_t.size - 1))
     return CubicSpline(knots_t, values, np.stack([a, b, c, d], axis=1))
 
 
@@ -142,7 +144,9 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
 
     Good frames pass through bit-exactly.  All pixels share the same knot
     times, so one tridiagonal factorization serves the whole image: the solve
-    and the polynomial evaluation are vectorized over pixels.
+    is vectorized over pixels.  Coefficients are formed only for the
+    intervals that hold a bad frame, and each bad frame is evaluated straight
+    into its output row, so no (n_bad, pixels) temporaries exist.
     """
     if stack.kind != "incremental":
         raise ValueError("reconstruction operates on incremental stacks")
@@ -162,9 +166,17 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     vals = flat[mask.good]
 
     M = _natural_second_derivatives(knots, vals)
-    a, b, c, d = _interval_coefficients(knots, vals, M)
     idx = np.clip(np.searchsorted(knots, times[bad], side="right") - 1, 0, knots.size - 2)
-    dt = (times[bad] - knots[idx])[:, None]
-    recon = ((a[idx] * dt + b[idx]) * dt + c[idx]) * dt + d[idx]
-    out.reshape(n, height * width)[bad] = recon
+    intervals, row_of = np.unique(idx, return_inverse=True)
+    a, b, c, d = _interval_coefficients(knots, vals, M, intervals)
+    flat_out = out.reshape(n, height * width)
+    for k, j, dt in zip(bad, row_of, times[bad] - knots[idx]):
+        # Horner's rule ((a dt + b) dt + c) dt + d in place
+        row = flat_out[k]
+        np.multiply(a[j], dt, out=row)
+        row += b[j]
+        row *= dt
+        row += c[j]
+        row *= dt
+        row += d[j]
     return StrainStack(out, stack.sample_time_s, "incremental")

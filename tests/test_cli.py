@@ -260,11 +260,40 @@ def test_grid_csv_columns(tmp_path):
                                          ("--samples", "A,Z"), ("--methods", "foo"),
                                          ("--kalman-window", "0"),
                                          ("--kalman-ratio", "0"), ("--kalman-ratio", "-1"),
-                                         ("--kalman-ratio", "nan"), ("--kalman-ratio", "inf")])
+                                         ("--kalman-ratio", "nan"), ("--kalman-ratio", "inf"),
+                                         ("--trials", "0"), ("--size", "0"),
+                                         ("--fractions", "1.5"), ("--fractions", "0.5,0"),
+                                         ("--fractions", "nan"), ("--lm-max-iter", "0"),
+                                         ("--lm-tol", "0"), ("--lm-tol", "-1")])
 def test_bad_grid_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     assert main(grid_args(tmp_path / "g", **{flag: value})) == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("synth", "--preset", "A", "--width", "-3"), ("synth", "--preset", "A", "--height", "0"),
+    ("synth", "--preset", "A", "--frames", "0"), ("synth", "--preset", "A", "--frames", "2"),
+    ("synth", "--preset", "A", "--sample-time-s", "0"),
+    ("degrade", "--stack", "none.stack", "--good-fraction", "1.5"),
+    ("fit", "--stack", "none.stack", "--lm-max-iter", "0"),
+    ("fit", "--stack", "none.stack", "--lm-tol", "nan"),
+    ("demo", "--size", "0"), ("demo", "--good-fraction", "0")])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "o"
+    assert run(*args, "--out", str(out)) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [b"width_px = abc\n", b"nonsense line\n", b"preset = Z\n",
+                                  b"preset = A\nwidth_px = 8\n", b"\xff\xfe = 1\n"])
+def test_malformed_phantom_config_is_input_error(tmp_path, capsys, text):
+    cfg = tmp_path / "ph.cfg"
+    cfg.write_bytes(text)
+    assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("straintc: input error:") and str(cfg) in err
 
 
 @pytest.mark.parametrize("flag, value", [("--kalman-window", "0"), ("--kalman-ratio", "0"),
@@ -286,7 +315,9 @@ GRID_MANIFEST = {"subcommand": "grid", "samples": "A", "methods": "noisy", "snrs
 
 @pytest.mark.parametrize("key, value", [("samples", "Z"), ("samples", "AB"),
                                         ("methods", "foo"), ("kalman_window", "0"),
-                                        ("kalman_ratio", "nan")])
+                                        ("kalman_ratio", "nan"), ("trials", "0"),
+                                        ("size", "-1"), ("fractions", "0.5,1.5"),
+                                        ("lm_max_iter", "0"), ("lm_tol", "inf")])
 def test_bad_grid_manifest_value_is_input_error(tmp_path, capsys, key, value):
     path = tmp_path / "manifest.txt"
     stackio.write_manifest(path, {**GRID_MANIFEST, key: value})

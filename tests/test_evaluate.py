@@ -160,11 +160,13 @@ def test_grid_empty_region_is_nan_not_abort():
 def test_grid_caps_workers(monkeypatch, jobs, cpus, pools):
     # a recording stand-in for the pool: no worker process starts; 3 cells
     # cap the workers at 3, and one usable worker runs the cells in-process
+    # with the process's fit threads; pool workers fit on one thread each
     seen = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             seen.append(max_workers)
+            initializer()
 
         def __enter__(self):
             return self
@@ -176,8 +178,10 @@ def test_grid_caps_workers(monkeypatch, jobs, cpus, pools):
 
     monkeypatch.setattr(evaluate, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(evaluate.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(evaluate.fit_mod, "_fit_threads", 2)
     res = tiny_grid(snrs=(30.0, 40.0, 60.0), trials=1, jobs=jobs)
     assert seen == pools
+    assert evaluate.fit_mod._fit_threads == (1 if pools else 2)
     assert len(res) == 3 * 3 * 3
 
 

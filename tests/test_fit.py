@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,13 @@ def test_cumulate_trivials():
         cumulate(out)
 
 
+def test_cumulate_matches_cumsum_bitwise():
+    rng = np.random.default_rng(3)
+    frames = rng.standard_normal((300, 6, 5)) * np.logspace(-8, 2, 30).reshape(1, 6, 5)
+    out = cumulate(StrainStack(frames, 0.5, "incremental"))
+    assert np.array_equal(out.frames, np.cumsum(frames, axis=0))
+
+
 def test_cumulate_riemann_bound_worst_tau():
     # worst preset time constant (2.26 s): running increments match the
     # closed form minus s(0) within the right-endpoint Riemann error bound
@@ -284,16 +293,33 @@ def multi_block_stack():
     return StrainStack(curves.T.reshape(n, h, w), 0.5, "cumulative")
 
 
-def test_blocked_stack_fit_matches_single_pixel_fits(multi_block_stack):
+def test_blocked_stack_fit_matches_single_pixel_fits(multi_block_stack, monkeypatch):
     # every LM operation is row-wise, so a pixel fitted inside a block, in
-    # the pooled stragglers or alone gives the same bits
+    # the pooled stragglers or alone gives the same bits, also when the
+    # blocks run on several threads (forced here even on a one-CPU machine,
+    # with a short switch interval so that the threads interleave often)
+    pools = []
+
+    class RecordingPool(fit_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(fit_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(fit_mod, "_fit_threads", 3)
     stack = multi_block_stack
     n, h, w = stack.frames.shape
     t = frame_times(n, stack.sample_time_s)
     config = LMConfig()
-    eta, gamma, tau, rnorm, iters, conv = fit_mod._lm_engine(
-        t, stack.frames.reshape(n, h * w).T, config)
-    tc = fit_stack(stack)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        eta, gamma, tau, rnorm, iters, conv = fit_mod._lm_engine(
+            t, stack.frames.reshape(n, h * w).T, config)
+        tc = fit_stack(stack)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [3, 3]
     assert np.array_equal(tc.tau_map.ravel(), tau, equal_nan=True)
     assert np.array_equal(tc.converged_mask.ravel(), conv)
     # the reported residual norm belongs to the reported parameters, also

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from straintc.phantom import (PhantomSpec, RegionParams, frame_times, param_maps,
                               preset, spec_from_config_text, spec_to_config_text,
                               synth_cumulative, synth_incremental, tau_map)
+from straintc.stackio import InputError
 
 # independently computed with 40-digit arithmetic:
 # (0.01/4.66) * exp(-0.5/4.66) * 0.5
@@ -193,7 +194,11 @@ def test_config_defaults_eta_gamma():
 
 def test_config_rejects_unknown_keys():
     good = spec_to_config_text(preset("A"))
-    with pytest.raises(ValueError, match="unknown config keys"):
+    with pytest.raises(InputError, match="unknown config keys"):
         spec_from_config_text(good + "mystery_knob = 3\n")
-    with pytest.raises(ValueError, match="expected 'key = value'"):
+    with pytest.raises(InputError, match="expected 'key = value'"):
         spec_from_config_text("width_px: 12\n")
+    with pytest.raises(InputError, match="abc"):
+        spec_from_config_text(good.replace("width_px = 128", "width_px = abc"))
+    with pytest.raises(InputError, match="pixel dimensions"):
+        spec_from_config_text(good.replace("width_px = 128", "width_px = 0"))

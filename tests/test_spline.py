@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from straintc import spline as spline_mod
 from straintc.degrade import FrameQualityMask, NoiseSpec, place_bad_frames
 from straintc.phantom import StrainStack, frame_times, preset, synth_incremental
 from straintc.spline import build_natural_spline, eval_spline, reconstruct_stack
@@ -275,6 +276,42 @@ def test_vectorized_matches_per_pixel():
             sp = build_natural_spline(t[good], frames[good, r, c])
             expect = eval_spline(sp, t[~good])
             assert np.allclose(out.frames[~good, r, c], expect, rtol=0, atol=1e-15)
+
+
+def all_interval_reconstruction(stack, mask):
+    """The vectorized formula that forms (a, b, c, d) for every interval and
+    evaluates all bad frames at once, kept as the bitwise reference."""
+    n = stack.n_frames
+    t = frame_times(n, stack.sample_time_s)
+    knots = t[mask.good]
+    flat = stack.frames.reshape(n, -1)
+    vals = flat[mask.good]
+    M = spline_mod._natural_second_derivatives(knots, vals)
+    h = np.diff(knots)[:, None]
+    a = (M[1:] - M[:-1]) / (6.0 * h)
+    b = M[:-1] / 2.0
+    c = np.diff(vals, axis=0) / h - h * (2.0 * M[:-1] + M[1:]) / 6.0
+    d = vals[:-1]
+    bad = mask.bad_indices
+    idx = np.clip(np.searchsorted(knots, t[bad], side="right") - 1, 0, knots.size - 2)
+    dt = (t[bad] - knots[idx])[:, None]
+    out = flat.copy()
+    out[bad] = ((a[idx] * dt + b[idx]) * dt + c[idx]) * dt + d[idx]
+    return out.reshape(stack.frames.shape)
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.2, 0.75])
+def test_reconstruction_matches_all_interval_formula(fraction):
+    # only the intervals holding a bad frame get coefficients, and frames
+    # are evaluated one by one: the same operations, so the same bits
+    mask = mask_for(seed=9, fraction=fraction)
+    good = mask.good.copy()
+    good[[0, 1, -1]] = False
+    mask = FrameQualityMask(good, mask.applied_snr_db)
+    rng = np.random.default_rng(2)
+    stack = StrainStack(rng.standard_normal((300, 5, 6)), 0.5, "incremental")
+    out = reconstruct_stack(stack, mask)
+    assert np.array_equal(out.frames, all_interval_reconstruction(stack, mask))
 
 
 def test_insufficient_good_frames_propagates():
