@@ -9,7 +9,8 @@ Subcommands:
     demo         one end-to-end cell; writes per-pixel curve data for plotting
 
 Exit codes: 0 success, 1 usage or input error (bad flags, unreadable or
-malformed input files), 2 numerical failure.  Every run writes
+malformed input files), 2 numerical or resource failure (such as running
+out of memory).  Every run writes
 a manifest.txt with the resolved configuration; `grid --from-manifest` reruns
 a recorded configuration and reproduces its CSV outputs byte-identically on
 the same platform.  The default output directory may be set with the
@@ -52,24 +53,40 @@ def _positive_int(text):
     return value
 
 
-def _positive_float(text):
+def _number(text):
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+
+
+def _finite_float(text):
+    value = _number(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text):
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
 def _fraction(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    value = _number(text)
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
     return value
+
+
+def _pixel(text):
+    try:
+        row, col = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected row,col integers, got {text!r}") from None
+    return row, col
 
 
 def _csv_list(cast, choices=None):
@@ -87,7 +104,7 @@ def _csv_list(cast, choices=None):
 _GRID_FIELDS = {
     "samples": _csv_list(str, phantom.PRESET_NAMES),
     "methods": _csv_list(str, evaluate.METHODS),
-    "snrs": _csv_list(float),
+    "snrs": _csv_list(_finite_float),
     "fractions": _csv_list(_fraction),
     "trials": _positive_int,
     "seed": int,
@@ -173,7 +190,8 @@ def build_parser() -> _Parser:
     p.add_argument("--good-fraction", type=_fraction, default=0.75)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=_positive_int, default=128)
-    p.add_argument("--pixel", help="row,col of the plotted pixel (default: center)")
+    p.add_argument("--pixel", type=_pixel,
+                   help="row,col of the plotted pixel (default: center)")
     add_out(p)
 
     return parser
@@ -391,10 +409,7 @@ def _cmd_grid(args):
 def _cmd_demo(args):
     outdir = _ensure_outdir(args)
     spec = phantom.preset(args.preset, width_px=args.size, height_px=args.size)
-    if args.pixel:
-        row, col = (int(p) for p in args.pixel.split(","))
-    else:
-        row, col = spec.height_px // 2, spec.width_px // 2
+    row, col = args.pixel or (spec.height_px // 2, spec.width_px // 2)
     if not (0 <= row < spec.height_px and 0 <= col < spec.width_px):
         raise UsageError(f"pixel {row},{col} outside {spec.height_px}x{spec.width_px} image")
 
@@ -460,6 +475,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"straintc: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"straintc: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .phantom import StrainStack
 
-__all__ = ["NoiseSpec", "FrameQualityMask", "place_bad_frames", "add_noise"]
 
 # salts separating the independent RNG substreams derived from one user seed
 _MASK_STREAM = 0

@@ -32,9 +32,6 @@ from .kalman import KalmanSpec, kalman_denoise
 from .phantom import StrainStack, inclusion_mask, preset, synth_incremental, tau_map
 from .spline import reconstruct_stack
 
-__all__ = ["PREResult", "GridResult", "DetectorConfig", "compute_pre",
-           "region_masks", "run_grid", "detect_bad_frames", "format_grid_table",
-           "METHODS", "DEFAULT_SNRS", "DEFAULT_FRACTIONS"]
 
 METHODS = ("noisy", "kalman", "spline")
 DEFAULT_SNRS = (30.0, 40.0, 60.0)
@@ -73,12 +70,6 @@ class GridResult:
     pre_std: float
     coverage: float
     wall_time_s: float
-
-
-def region_masks(spec):
-    """(inclusion, background) boolean pixel masks for a phantom spec."""
-    inc = inclusion_mask(spec)
-    return inc, ~inc
 
 
 def _region_pre(tc, mask, region):
@@ -145,7 +136,7 @@ def _run_cell(args):
     spec = preset(sample, width_px=width, height_px=height)
     clean = synth_incremental(spec)
     truth = tau_map(spec)
-    inc_mask, _ = region_masks(spec)
+    inc_mask = inclusion_mask(spec)
 
     pres = {(m, r): [] for m in methods for r in REGIONS}
     cover = {(m, r): [] for m in methods for r in REGIONS}
@@ -223,10 +214,10 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
     return results
 
 
-def format_grid_table(results, sample, region="whole") -> str:
-    """Aligned text table of |PRE| (%) for one sample: methods as rows,
-    good-frame percentage and SNR as nested columns."""
-    rows = [r for r in results if r.sample == sample and r.region == region]
+def format_grid_table(results, sample) -> str:
+    """Aligned text table of whole-region |PRE| (%) for one sample: methods
+    as rows, good-frame percentage and SNR as nested columns."""
+    rows = [r for r in results if r.sample == sample and r.region == "whole"]
     if not rows:
         raise ValueError(f"no grid results for sample {sample!r}")
     fractions = sorted({r.good_fraction for r in rows})
@@ -236,7 +227,7 @@ def format_grid_table(results, sample, region="whole") -> str:
     trials = rows[0].trials
 
     width = 8
-    lines = [f"Sample {sample}: |PRE| (%) of estimated strain TC, {region} region, "
+    lines = [f"Sample {sample}: |PRE| (%) of estimated strain TC, whole region, "
              f"mean over {trials} trial(s)"]
     pgf = "".join(f"{f * 100:>{width * len(snrs)}.0f}" for f in fractions)
     lines.append(f"{'PGF (%)':<8}" + pgf)
@@ -254,28 +245,16 @@ def format_grid_table(results, sample, region="whole") -> str:
 # bad-frame detection heuristic (the corruption protocol knows its labels;
 # real pipelines need a guess)
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Settings for detect_bad_frames.
-
-    window_len frames feed the temporal moving-median reference; a frame is
-    flagged when its normalized deviation exceeds threshold times the
-    stack-global robust scale, floored at min_rel_scale to keep clean stacks
-    from flagging anything.
-    """
-
-    window_len: int = 7
-    threshold: float = 4.0
-    min_rel_scale: float = 0.01
-
-    def __post_init__(self):
-        if self.window_len < 3:
-            raise ValueError("window_len must be >= 3")
-        if not self.threshold > 0 or not self.min_rel_scale > 0:
-            raise ValueError("threshold and min_rel_scale must be positive")
+# frames in the temporal moving-median reference; a frame is flagged when its
+# normalized deviation exceeds _DETECT_THRESHOLD times the stack-global robust
+# scale, floored at _DETECT_MIN_SCALE to keep clean stacks from flagging
+# anything
+_DETECT_WINDOW = 7
+_DETECT_THRESHOLD = 4.0
+_DETECT_MIN_SCALE = 0.01
 
 
-def detect_bad_frames(stack: StrainStack, config: DetectorConfig = DetectorConfig()) -> FrameQualityMask:
+def detect_bad_frames(stack: StrainStack) -> FrameQualityMask:
     """Heuristic good/bad labeling of an incremental stack.
 
     Each frame is compared against a temporal moving median (window shrunk
@@ -294,7 +273,7 @@ def detect_bad_frames(stack: StrainStack, config: DetectorConfig = DetectorConfi
     if n < 8:
         raise ValueError(f"need at least 8 frames to detect bad ones, got {n}")
     frames = stack.frames.reshape(n, -1)
-    half_max = config.window_len // 2
+    half_max = _DETECT_WINDOW // 2
     tiny = np.finfo(np.float64).tiny
     rel_dev = np.empty(n)
     for k in range(n):
@@ -303,6 +282,6 @@ def detect_bad_frames(stack: StrainStack, config: DetectorConfig = DetectorConfi
         dev = np.median(np.abs(frames[k] - ref))
         mag = np.median(np.abs(ref))
         rel_dev[k] = dev / max(mag, tiny)
-    scale = max(float(np.median(rel_dev)), config.min_rel_scale)
-    good = rel_dev <= config.threshold * scale
+    scale = max(float(np.median(rel_dev)), _DETECT_MIN_SCALE)
+    good = rel_dev <= _DETECT_THRESHOLD * scale
     return FrameQualityMask(good, np.full(n, np.nan))

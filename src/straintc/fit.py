@@ -5,8 +5,9 @@
 to per-pixel cumulative strain curves.  The Jacobian is analytic
 (d/d_eta = 1, d/d_gamma = exp(-t/tau), d/d_tau = gamma * t/tau^2 * exp(-t/tau))
 and the damping acts on the diagonal of J^T J (Marquardt scaling), which
-keeps the step scale-invariant.  tau is clamped to a configurable interval so
-noise-dominated pixels cannot run off to infinity.
+keeps the step scale-invariant.  tau is clamped to [T_s / 10, 100 * duration]
+(T_s the sampling interval) so noise-dominated pixels cannot run off to
+infinity.
 
 All pixels of a stack are fitted by one engine whose iteration is vectorized
 over pixels, each pixel carrying its own parameters, damping and convergence
@@ -36,9 +37,11 @@ import numpy as np
 
 from .phantom import StrainStack, frame_times
 
-__all__ = ["LMConfig", "ExpFit", "TCImage", "exp_model", "jacobian",
-           "initial_guess", "fit_exponential", "fit_stack", "cumulate"]
 
+# Marquardt damping: the starting value, and the factor it is divided by
+# after an accepted step and multiplied by after a rejected one
+INITIAL_DAMPING = 1e-3
+DAMPING_FACTOR = 10.0
 _DAMPING_CAP = 1e14
 # bytes per (rows, n_samples) float64 array of one block: 1092 rows at 300
 # samples, so a block's working arrays stay in cache instead of streaming
@@ -64,33 +67,25 @@ def _one_fit_thread():
 
 @dataclass(frozen=True)
 class LMConfig:
-    """Optimizer settings.
-
-    tau_floor / tau_ceiling default to one tenth of the sampling interval and
-    one hundred times the total duration; None means "derive from the data".
-    """
+    """Stopping rules: the iteration cap and the relative tolerance of the
+    cost-reduction and gradient tests."""
 
     max_iterations: int = 200
-    initial_damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 10.0
     rel_tolerance: float = 1e-10
-    tau_floor: Optional[float] = None
-    tau_ceiling: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("max_iterations", "initial_damping", "damping_up",
-                     "damping_down", "rel_tolerance"):
+        for name in ("max_iterations", "rel_tolerance"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.tau_floor is not None and not self.tau_floor > 0:
-            raise ValueError("tau_floor must be positive")
 
-    def resolve_bounds(self, times):
-        floor = self.tau_floor if self.tau_floor is not None else (times[1] - times[0]) / 10.0
-        ceil = self.tau_ceiling if self.tau_ceiling is not None else 100.0 * times[-1]
+    @staticmethod
+    def resolve_bounds(times):
+        """The tau interval for these sample times: one tenth of the sampling
+        interval up to one hundred times the last sample time."""
+        floor = (times[1] - times[0]) / 10.0
+        ceil = 100.0 * times[-1]
         if not floor < ceil:
-            raise ValueError(f"tau_floor {floor} must be below tau_ceiling {ceil}")
+            raise ValueError(f"tau floor {floor} must be below tau ceiling {ceil}")
         return floor, ceil
 
 
@@ -127,35 +122,27 @@ def jacobian(t, eta, gamma, tau):
     return np.stack([np.ones_like(t), decay, gamma * t / tau ** 2 * decay], axis=1)
 
 
-def _as_batch(values):
-    v = np.asarray(values, dtype=np.float64)
-    return (v[None, :], True) if v.ndim == 1 else (v, False)
-
-
 def initial_guess(times, values):
-    """Starting point (eta0, gamma0, tau0) for the LM iteration.
+    """Starting points (eta0, gamma0, tau0), one per row of the (P, n) values,
+    for the LM iteration.
 
-    eta0 is the mean of the last 10% of samples (the curve has flattened
-    there), gamma0 = values[0] - eta0, and tau0 is the earliest time at which
-    |values - eta0| has decayed to |gamma0|/e, found by scanning; one third of
-    the total duration when there is no crossing.
+    eta0 is the mean of the last 10% of a row's samples (the curve has
+    flattened there), gamma0 its first sample minus eta0, and tau0 the
+    earliest time at which |row - eta0| has decayed to |gamma0|/e, found by
+    scanning; one third of the total duration when there is no crossing.
     """
-    times = np.asarray(times, dtype=np.float64)
-    v, single = _as_batch(values)
-    n = v.shape[1]
+    n = values.shape[1]
     n_tail = max(1, int(round(0.1 * n)))
     # sum the tail one sample column at a time, so that eta0 does not depend
-    # on the memory layout of v: numpy sums a C-ordered row pairwise but an
-    # F-ordered one sample by sample, which is the order used here and the
-    # one fit_stack's column-major pixel view has always had
-    eta0 = functools.reduce(np.add, v[:, -n_tail:].T) / n_tail
-    gamma0 = v[:, 0] - eta0
-    dev = np.abs(v - eta0[:, None])
+    # on the memory layout of values: numpy sums a C-ordered row pairwise but
+    # an F-ordered one sample by sample, which is the order used here and
+    # the one fit_stack's column-major pixel view has always had
+    eta0 = functools.reduce(np.add, values[:, -n_tail:].T) / n_tail
+    gamma0 = values[:, 0] - eta0
+    dev = np.abs(values - eta0[:, None])
     crossed = dev <= (np.abs(gamma0) / np.e)[:, None]
     has_crossing = crossed.any(axis=1)
     tau0 = np.where(has_crossing, times[crossed.argmax(axis=1)], times[-1] / 3.0)
-    if single:
-        return float(eta0[0]), float(gamma0[0]), float(tau0[0])
     return eta0, gamma0, tau0
 
 
@@ -208,7 +195,7 @@ def _lm_engine(times, values, config):
     n_pix, n = values.shape
     tau_floor, tau_ceil = config.resolve_bounds(times)
     eta, gamma, tau = np.empty(n_pix), np.empty(n_pix), np.empty(n_pix)
-    lam = np.full(n_pix, config.initial_damping)
+    lam = np.full(n_pix, INITIAL_DAMPING)
     iterations = np.zeros(n_pix, dtype=np.int64)
     converged = np.zeros(n_pix, dtype=bool)
     cost_out = np.zeros(n_pix)
@@ -261,8 +248,8 @@ def _lm_engine(times, values, config):
             eta[acc_idx] = e_new[accept]
             gamma[acc_idx] = g_new[accept]
             tau[acc_idx] = t_new[accept]
-            lam[acc_idx] = la[accept] / config.damping_down
-            lam[rows[reject]] = np.minimum(la[reject] * config.damping_up, _DAMPING_CAP)
+            lam[acc_idx] = la[accept] / DAMPING_FACTOR
+            lam[rows[reject]] = np.minimum(la[reject] * DAMPING_FACTOR, _DAMPING_CAP)
             small_reduction = accept & ((cost - cost_new) <= config.rel_tolerance * cost)
             done = small_reduction | grad_small
 

@@ -24,8 +24,6 @@ import numpy as np
 
 from .phantom import StrainStack
 
-__all__ = ["KalmanSpec", "kalman_denoise", "kalman_denoise_series"]
-
 
 @dataclass(frozen=True)
 class KalmanSpec:

@@ -18,20 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = [
-    "RegionParams",
-    "PhantomSpec",
-    "StrainStack",
-    "preset",
-    "PRESET_NAMES",
-    "tau_map",
-    "param_maps",
-    "synth_incremental",
-    "synth_cumulative",
-    "frame_times",
-    "inclusion_mask",
-]
-
 
 @dataclass(frozen=True)
 class RegionParams:

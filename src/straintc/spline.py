@@ -21,7 +21,6 @@ import numpy as np
 from .degrade import FrameQualityMask
 from .phantom import StrainStack, frame_times
 
-__all__ = ["CubicSpline", "build_natural_spline", "eval_spline", "reconstruct_stack"]
 
 MIN_KNOTS = 4
 

@@ -25,9 +25,6 @@ import numpy as np
 from .degrade import FrameQualityMask
 from .phantom import StrainStack
 
-__all__ = ["InputError", "write_stack", "read_stack", "write_mask", "read_mask",
-           "write_tc_csv", "read_tc_csv", "write_pgm", "write_manifest",
-           "read_manifest"]
 
 MAGIC = b"STRAINSTACK\0"
 VERSION = 1
@@ -133,13 +130,12 @@ def read_tc_csv(path) -> np.ndarray:
         raise InputError(f"{path}: not a numeric CSV map with equal-length rows") from None
 
 
-def write_pgm(path, values: np.ndarray, bounds_path=None) -> None:
-    """8-bit grayscale PGM (P5) of a value map plus a text sidecar recording
-    the linear mapping bounds.
+def write_pgm(path, values: np.ndarray) -> None:
+    """8-bit grayscale PGM (P5) of a value map plus a text sidecar
+    <path>.bounds.txt recording the linear mapping bounds.
 
     Values are scaled linearly from [vmin, vmax] (finite range of the map) to
-    0..255; non-finite pixels render as 0.  The sidecar defaults to
-    <path>.bounds.txt.
+    0..255; non-finite pixels render as 0.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -158,9 +154,7 @@ def write_pgm(path, values: np.ndarray, bounds_path=None) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(scaled.tobytes())
-    if bounds_path is None:
-        bounds_path = str(path) + ".bounds.txt"
-    with open(bounds_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(str(path) + ".bounds.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"vmin = {vmin!r}\nvmax = {vmax!r}\n")
 
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from straintc import stackio
+from straintc import phantom, stackio
 from straintc.cli import OUT_ENV, main
 
 
@@ -184,6 +184,18 @@ def test_demo_pixel_bounds(tmp_path):
     assert run("demo", "--size", "16", "--pixel", "99,0", "--out", str(tmp_path / "x")) == 1
 
 
+def test_out_of_memory_is_resource_failure(tmp_path, monkeypatch, capsys):
+    def no_memory(spec):
+        raise MemoryError(f"Unable to allocate {spec.width_px}x{spec.height_px} maps")
+
+    monkeypatch.setattr(phantom, "synth_incremental", no_memory)
+    assert run("synth", "--preset", "A", "--width", "100000", "--height", "100000",
+               "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("straintc: out of memory:") and "100000x100000" in err
+    assert "Traceback" not in err
+
+
 def grid_args(out, **over):
     base = {"--samples": "A", "--snrs": "60", "--fractions": "0.75",
             "--trials": "1", "--seed": "4", "--size": "8", "--out": str(out)}
@@ -264,7 +276,9 @@ def test_grid_csv_columns(tmp_path):
                                          ("--trials", "0"), ("--size", "0"),
                                          ("--fractions", "1.5"), ("--fractions", "0.5,0"),
                                          ("--fractions", "nan"), ("--lm-max-iter", "0"),
-                                         ("--lm-tol", "0"), ("--lm-tol", "-1")])
+                                         ("--lm-tol", "0"), ("--lm-tol", "-1"),
+                                         ("--snrs", "nan"), ("--snrs", "inf"),
+                                         ("--snrs", "30,-inf")])
 def test_bad_grid_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     assert main(grid_args(tmp_path / "g", **{flag: value})) == 1
     assert "usage error" in capsys.readouterr().err
@@ -278,7 +292,8 @@ def test_bad_grid_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     ("degrade", "--stack", "none.stack", "--good-fraction", "1.5"),
     ("fit", "--stack", "none.stack", "--lm-max-iter", "0"),
     ("fit", "--stack", "none.stack", "--lm-tol", "nan"),
-    ("demo", "--size", "0"), ("demo", "--good-fraction", "0")])
+    ("demo", "--size", "0"), ("demo", "--good-fraction", "0"),
+    ("demo", "--pixel", "x,y"), ("demo", "--pixel", "3"), ("demo", "--pixel", "1,2,3")])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, args):
     out = tmp_path / "o"
     assert run(*args, "--out", str(out)) == 1
@@ -317,7 +332,8 @@ GRID_MANIFEST = {"subcommand": "grid", "samples": "A", "methods": "noisy", "snrs
                                         ("methods", "foo"), ("kalman_window", "0"),
                                         ("kalman_ratio", "nan"), ("trials", "0"),
                                         ("size", "-1"), ("fractions", "0.5,1.5"),
-                                        ("lm_max_iter", "0"), ("lm_tol", "inf")])
+                                        ("lm_max_iter", "0"), ("lm_tol", "inf"),
+                                        ("snrs", "nan"), ("snrs", "60,inf")])
 def test_bad_grid_manifest_value_is_input_error(tmp_path, capsys, key, value):
     path = tmp_path / "manifest.txt"
     stackio.write_manifest(path, {**GRID_MANIFEST, key: value})

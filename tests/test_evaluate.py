@@ -3,10 +3,9 @@ import pytest
 
 from straintc import evaluate
 from straintc.degrade import NoiseSpec, add_noise, place_bad_frames
-from straintc.evaluate import (DetectorConfig, compute_pre, detect_bad_frames,
-                               format_grid_table, region_masks, run_grid)
+from straintc.evaluate import compute_pre, detect_bad_frames, format_grid_table, run_grid
 from straintc.fit import LMConfig, TCImage
-from straintc.phantom import StrainStack, preset, synth_incremental, tau_map
+from straintc.phantom import StrainStack, inclusion_mask, preset, synth_incremental, tau_map
 
 
 def image(tau, truth, converged=None):
@@ -201,9 +200,10 @@ def test_format_grid_table():
 
 def test_region_masks_partition():
     spec = preset("A", width_px=16, height_px=16)
-    inc, bg = region_masks(spec)
-    assert np.array_equal(inc ^ bg, np.ones((16, 16), bool))
+    inc = inclusion_mask(spec)
+    # the inclusion and its complement, the background, split the two tau values
     assert np.array_equal(tau_map(spec) == 4.66, inc)
+    assert np.array_equal(tau_map(spec) == 11.42, ~inc)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,3 @@ def test_detector_validation():
     stack = StrainStack(np.zeros((5, 4, 4)), 0.5, "incremental")
     with pytest.raises(ValueError, match="at least 8"):
         detect_bad_frames(stack)
-    with pytest.raises(ValueError):
-        DetectorConfig(window_len=1)
-    with pytest.raises(ValueError):
-        DetectorConfig(threshold=-1.0)

@@ -56,7 +56,7 @@ def test_jacobian_matches_central_differences():
 
 def test_initial_guess_on_clean_curve():
     values = exp_model(TIMES, 0.02, -0.01, 4.66)
-    eta0, gamma0, tau0 = initial_guess(TIMES, values)
+    (eta0,), (gamma0,), (tau0,) = initial_guess(TIMES, values[None, :])
     assert eta0 == pytest.approx(0.02, rel=1e-3)
     assert 4.66 / 2 < tau0 < 4.66 * 2
     assert np.sign(gamma0) == np.sign(values[0] - eta0)
@@ -71,14 +71,14 @@ def test_initial_guess_ignores_memory_layout():
 
 
 def test_initial_guess_constant():
-    _, gamma0, _ = initial_guess(TIMES, np.full(300, 0.5))
+    _, (gamma0,), _ = initial_guess(TIMES, np.full((1, 300), 0.5))
     assert gamma0 == 0.0
 
 
 def test_initial_guess_no_crossing_fallback():
     # oscillating data never decays to |gamma0|/e: fall back to duration/3
     values = 0.01 * np.cos(TIMES) + 10.0
-    eta0, gamma0, tau0 = initial_guess(TIMES, values)
+    (eta0,), (gamma0,), (tau0,) = initial_guess(TIMES, values[None, :])
     if not np.any(np.abs(values - eta0) <= abs(gamma0) / np.e):
         assert tau0 == pytest.approx(TIMES[-1] / 3.0)
 
@@ -113,7 +113,10 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         LMConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        LMConfig(tau_floor=5.0, tau_ceiling=1.0).resolve_bounds(TIMES)
+        LMConfig(rel_tolerance=0.0)
+    # times ending before zero leave no tau interval between the derived bounds
+    with pytest.raises(ValueError, match="below tau ceiling"):
+        fit_exponential(TIMES - 1000.0, exp_model(TIMES, 0.02, -0.01, 4.66))
 
 
 def lm_step(t, y, params, lam, bounds):
@@ -132,25 +135,26 @@ def test_rejected_step_retries_from_the_kept_point():
     # from the kept parameters and residuals with ten times the damping
     rng = np.random.default_rng(0)
     values = exp_model(TIMES, 0.02, -0.01, 1.0) + 1e-4 * rng.standard_normal(300)
-    config = LMConfig()
-    bounds = config.resolve_bounds(TIMES)
-    eta0, gamma0, tau0 = initial_guess(TIMES, values)
+    bounds = LMConfig.resolve_bounds(TIMES)
+    (eta0,), (gamma0,), (tau0,) = initial_guess(TIMES, values[None, :])
     start = (eta0, gamma0, float(np.clip(tau0, *bounds)))
     first = fit_exponential(TIMES, values, LMConfig(max_iterations=1))
     assert (first.eta, first.gamma, first.tau) == start
     second = fit_exponential(TIMES, values, LMConfig(max_iterations=2))
-    expected = lm_step(TIMES, values, start, config.initial_damping * config.damping_up, bounds)
+    expected = lm_step(TIMES, values, start,
+                       fit_mod.INITIAL_DAMPING * fit_mod.DAMPING_FACTOR, bounds)
     np.testing.assert_allclose([second.eta, second.gamma, second.tau], expected, rtol=1e-9)
 
 
 def test_tau_stays_within_bounds():
-    rng = np.random.default_rng(3)
-    values = rng.standard_normal(300) * 0.01
-    config = LMConfig(tau_floor=1.0, tau_ceiling=20.0)
-    f = fit_exponential(TIMES, values)
-    f2 = fit_exponential(TIMES, values, config)
-    assert 1.0 <= f2.tau <= 20.0
-    assert TIMES[0] / 10 <= f.tau <= 100 * TIMES[-1] or np.isnan(f.tau)
+    # one tenth of the sampling interval up to 100 times the duration
+    floor, ceil = LMConfig.resolve_bounds(TIMES)
+    assert (floor, ceil) == (0.05, 15000.0)
+    taus = [fit_exponential(TIMES, np.random.default_rng(seed).standard_normal(300) * 0.01).tau
+            for seed in range(4)]
+    assert all(floor <= tau <= ceil for tau in taus)
+    # pure noise drives some fits onto the ceiling, where the clamp holds them
+    assert taus[0] == ceil
 
 
 def test_stack_fit_matches_scalar_fits():
