@@ -8,21 +8,28 @@ Subcommands:
     grid         run the full Monte-Carlo comparison grid
     demo         one end-to-end cell; writes per-pixel curve data for plotting
 
+Every flag is declared once, in _SETTINGS, with its type, its default (read
+from the library where the library has one) and its help; each subcommand
+lists the settings it takes.
+
 Exit codes: 0 success, 1 usage or input error (bad flags, unreadable or
 malformed input files), 2 numerical or resource failure (such as running
-out of memory).  Every run writes
-a manifest.txt with the resolved configuration; `grid --from-manifest` reruns
-a recorded configuration and reproduces its CSV outputs byte-identically on
-the same platform.  The default output directory may be set with the
-STRAINTC_OUT environment variable.
+out of memory).  Every run writes a manifest.txt that records each set
+flag but --out, exactly as the flag types read it back, plus the values a
+command resolved itself; `grid --from-manifest` reruns a recorded
+configuration and reproduces its CSV outputs byte-identically on the same
+platform.  The default output directory may be set with the STRAINTC_OUT
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,157 +50,117 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _number(text):
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-
-
-def _finite_float(text):
-    value = _number(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _positive_float(text):
-    value = _finite_float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _fraction(text):
-    value = _number(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
-
-
-def _pixel(text):
-    try:
-        row, col = (int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected row,col integers, got {text!r}") from None
-    return row, col
-
-
-def _csv_list(cast, choices=None):
+def _checked(cast, ok, requirement):
+    """Flag type: cast(text) must succeed and satisfy ok, or the flag is a
+    usage error saying what it must be."""
     def parse(text):
-        values = tuple(cast(part) for part in text.split(",") if part)
-        unknown = [v for v in values if choices is not None and v not in choices]
-        if unknown:
-            raise argparse.ArgumentTypeError(
-                f"unknown {unknown[0]!r} (choose from {', '.join(choices)})")
-        return values
+        try:
+            value = cast(text)
+            good = ok(value)
+        except ValueError:
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
     return parse
 
 
-# parsers of the grid settings, shared by the flags and `grid --from-manifest`
-_GRID_FIELDS = {
-    "samples": _csv_list(str, phantom.PRESET_NAMES),
-    "methods": _csv_list(str, evaluate.METHODS),
-    "snrs": _csv_list(_finite_float),
-    "fractions": _csv_list(_fraction),
-    "trials": _positive_int,
-    "seed": int,
-    "size": _positive_int,
-    "kalman_window": _positive_int,
-    "kalman_ratio": _positive_float,
-    "lm_max_iter": _positive_int,
-    "lm_tol": _positive_float,
-    "emit_maps": lambda text: text == "True",
+def _one_of(names):
+    return _checked(str, names.__contains__, "one of " + ", ".join(names))
+
+
+def _csv_list(item):
+    return lambda text: tuple(item(part) for part in text.split(",") if part)
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_finite = _checked(float, math.isfinite, "a finite number")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_fraction = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_pixel = _checked(lambda text: tuple(int(part) for part in text.split(",")),
+                  lambda v: len(v) == 2, "row,col integers")
+# a store_true flag as a manifest records it
+_switch = _checked({"True": True, "False": False}.get, lambda v: v is not None,
+                   "True or False")
+
+_REQUIRED = object()
+_RUN_GRID = inspect.signature(evaluate.run_grid).parameters
+
+# dest -> (type, default, help) of every flag but --out
+_SETTINGS = {
+    "preset": (_one_of(phantom.PRESET_NAMES), "A", "built-in sample preset"),
+    "config": (str, None, "phantom config file (key = value lines)"),
+    "width": (_count, None, "override width in pixels"),
+    "height": (_count, None, "override height in pixels"),
+    "frames": (_count, None, "override frame count"),
+    "sample_time_s": (_positive, None, "override sampling time"),
+    "stack": (str, _REQUIRED, "input strain stack; degrade and spline take an incremental "
+              "one, fit cumulates an incremental one first"),
+    "snr_db": (_finite, 30.0, "base SNR of good frames"),
+    "good_fraction": (_fraction, 0.75, "fraction of frames kept good"),
+    "seed": (_seed, NoiseSpec.rng_seed, "random seed"),
+    "method": (_one_of(("spline", "kalman")), _REQUIRED, "repair method"),
+    "mask": (str, None, "frame quality mask CSV (required for spline)"),
+    "kalman_window": (_count, KalmanSpec.window_len, "Kalman look-ahead window in frames"),
+    "kalman_ratio": (_positive, KalmanSpec.process_ratio,
+                     "process to measurement noise variance ratio Q/R"),
+    "truth": (str, None, "ground-truth tau map CSV for PRE output"),
+    "lm_max_iter": (_count, fit_mod.LMConfig.max_iterations, "LM iteration cap"),
+    "lm_tol": (_positive, fit_mod.LMConfig.rel_tolerance, "LM relative tolerance"),
+    "samples": (_csv_list(_one_of(phantom.PRESET_NAMES)), phantom.PRESET_NAMES,
+                "comma-separated sample presets"),
+    "methods": (_csv_list(_one_of(evaluate.METHODS)), evaluate.METHODS,
+                "comma-separated methods"),
+    "snrs": (_csv_list(_finite), evaluate.DEFAULT_SNRS, "comma-separated SNRs in dB"),
+    "fractions": (_csv_list(_fraction), evaluate.DEFAULT_FRACTIONS,
+                  "comma-separated good-frame fractions"),
+    "trials": (_count, _RUN_GRID["trials"].default, "trials per cell"),
+    "size": (_count, phantom.PhantomSpec.width_px,
+             "phantom resolution; 32 is the reduced CI mode"),
+    "jobs": (_count, _RUN_GRID["jobs"].default,
+             "parallel worker processes (capped at the CPU and cell counts)"),
+    "emit_maps": (_switch, False, "write TC maps (CSV + PGM) for the first trial of each cell"),
+    "from_manifest": (str, None, "rerun a recorded grid configuration (other grid flags ignored)"),
+    "pixel": (_pixel, None, "row,col of the plotted pixel (default: center)"),
 }
+
+# the settings a grid manifest records and `grid --from-manifest` reruns
+_GRID_KEYS = ("samples", "methods", "snrs", "fractions", "trials", "seed", "size",
+              "kalman_window", "kalman_ratio", "lm_max_iter", "lm_tol", "emit_maps")
+
+# synth flag -> the PhantomSpec field it overrides
+_SYNTH_OVERRIDES = {"width": "width_px", "height": "height_px", "frames": "n_frames",
+                    "sample_time_s": "sample_time_s"}
+
+
+def _add_flags(parser, dests, defaults):
+    """Add the flags of these settings; defaults override the table's.  A
+    tuple of dests is a group of which exactly one flag must be given."""
+    for dest in dests:
+        if isinstance(dest, tuple):
+            _add_flags(parser.add_mutually_exclusive_group(required=True), dest,
+                       dict.fromkeys(dest))
+            continue
+        cast, default, about = _SETTINGS[dest]
+        default = defaults.get(dest, default)
+        flag = "--" + dest.replace("_", "-")
+        if default is False:
+            parser.add_argument(flag, action="store_true", help=about)
+        else:
+            required = default is _REQUIRED
+            parser.add_argument(flag, type=cast, default=None if required else default,
+                                required=required, help=about)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="straintc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_out(p):
+    for name, (_, about, dests, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        _add_flags(p, dests, defaults)
         p.add_argument("--out", default=os.environ.get(OUT_ENV),
                        help=f"output directory (default: ${OUT_ENV})")
-
-    p = sub.add_parser("synth", help="write clean strain stacks for a phantom")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=phantom.PRESET_NAMES, help="built-in sample preset")
-    src.add_argument("--config", help="phantom config file (key = value lines)")
-    p.add_argument("--width", type=_positive_int, help="override width in pixels")
-    p.add_argument("--height", type=_positive_int, help="override height in pixels")
-    p.add_argument("--frames", type=_positive_int, help="override frame count")
-    p.add_argument("--sample-time-s", type=_positive_float, help="override sampling time")
-    add_out(p)
-
-    p = sub.add_parser("degrade", help="corrupt an incremental stack")
-    p.add_argument("--stack", required=True, help="input incremental stack file")
-    p.add_argument("--snr-db", type=float, default=30.0, help="base SNR of good frames")
-    p.add_argument("--bad-snr-db", type=float, default=0.0, help="SNR of bad frames")
-    p.add_argument("--good-fraction", type=_fraction, default=0.75,
-                   help="fraction of frames kept good")
-    p.add_argument("--seed", type=int, default=0)
-    add_out(p)
-
-    p = sub.add_parser("reconstruct", help="denoise or reconstruct a degraded stack")
-    p.add_argument("--stack", required=True, help="input degraded incremental stack")
-    p.add_argument("--method", choices=("spline", "kalman"), required=True)
-    p.add_argument("--mask", help="frame quality mask CSV (required for spline)")
-    p.add_argument("--kalman-window", type=_positive_int, default=13)
-    p.add_argument("--kalman-ratio", type=_positive_float, default=0.01,
-                   help="process to measurement noise variance ratio Q/R")
-    add_out(p)
-
-    p = sub.add_parser("fit", help="fit the creep model and write the TC image")
-    p.add_argument("--stack", required=True,
-                   help="input stack; incremental input is cumulated first")
-    p.add_argument("--truth", help="ground-truth tau map CSV for PRE output")
-    p.add_argument("--lm-max-iter", type=_positive_int, default=200)
-    p.add_argument("--lm-tol", type=_positive_float, default=1e-10)
-    add_out(p)
-
-    p = sub.add_parser("grid", help="run the Monte-Carlo comparison grid")
-    p.add_argument("--samples", type=_GRID_FIELDS["samples"], default=("A", "B", "C"))
-    p.add_argument("--methods", type=_GRID_FIELDS["methods"], default=evaluate.METHODS)
-    p.add_argument("--snrs", type=_GRID_FIELDS["snrs"], default=evaluate.DEFAULT_SNRS)
-    p.add_argument("--fractions", type=_GRID_FIELDS["fractions"],
-                   default=evaluate.DEFAULT_FRACTIONS)
-    p.add_argument("--trials", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=_positive_int, default=128,
-                   help="phantom resolution; 32 is the reduced CI mode")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel worker processes (capped at the CPU and cell counts)")
-    p.add_argument("--kalman-window", type=_positive_int, default=13)
-    p.add_argument("--kalman-ratio", type=_positive_float, default=0.01,
-                   help="process to measurement noise variance ratio Q/R")
-    p.add_argument("--lm-max-iter", type=_positive_int, default=200)
-    p.add_argument("--lm-tol", type=_positive_float, default=1e-10)
-    p.add_argument("--emit-maps", action="store_true",
-                   help="write TC maps (CSV + PGM) for the first trial of each cell")
-    p.add_argument("--from-manifest",
-                   help="rerun a recorded grid configuration (other grid flags ignored)")
-    add_out(p)
-
-    p = sub.add_parser("demo", help="one end-to-end cell with per-pixel curve output")
-    p.add_argument("--preset", choices=phantom.PRESET_NAMES, default="A")
-    p.add_argument("--snr-db", type=float, default=60.0)
-    p.add_argument("--good-fraction", type=_fraction, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=_positive_int, default=128)
-    p.add_argument("--pixel", type=_pixel,
-                   help="row,col of the plotted pixel (default: center)")
-    add_out(p)
-
     return parser
 
 
@@ -208,8 +175,33 @@ def _path(outdir, name):
     return os.path.join(outdir, name)
 
 
-def _write_manifest(outdir, entries):
-    stackio.write_manifest(_path(outdir, "manifest.txt"), entries)
+def _write_manifest(args):
+    """manifest.txt from the parsed flags: every set one but --out, tuples
+    comma-joined, each value as str(), which its flag type reads back."""
+    entries = {key: ",".join(map(str, value)) if isinstance(value, tuple) else value
+               for key, value in vars(args).items() if value is not None and key != "out"}
+    stackio.write_manifest(_path(args.out, "manifest.txt"), entries)
+
+
+def _as_usage(make, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError means the flags set a value the
+    library rejects, a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _noise_spec(args):
+    return _as_usage(NoiseSpec, base_snr_db=args.snr_db,
+                     good_frame_fraction=args.good_fraction, rng_seed=args.seed)
+
+
+def _read_incremental(path):
+    stack = stackio.read_stack(path)
+    if stack.kind != "incremental":
+        raise stackio.InputError(f"{path}: expected an incremental stack, got a cumulative one")
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -220,69 +212,44 @@ def _cmd_synth(args):
         spec = phantom.preset(args.preset)
     else:
         spec = phantom.spec_from_config_file(args.config)
-    overrides = {}
-    if args.width:
-        overrides["width_px"] = args.width
-    if args.height:
-        overrides["height_px"] = args.height
-    if args.frames:
-        overrides["n_frames"] = args.frames
-    if args.sample_time_s:
-        overrides["sample_time_s"] = args.sample_time_s
-    if overrides:
-        from dataclasses import replace
-        try:
-            spec = replace(spec, **overrides)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    overrides = {field: getattr(args, flag) for flag, field in _SYNTH_OVERRIDES.items()
+                 if getattr(args, flag) is not None}
+    spec = _as_usage(replace, spec, **overrides)
     outdir = _ensure_outdir(args)
     stackio.write_stack(_path(outdir, "incremental.stack"), phantom.synth_incremental(spec))
     stackio.write_stack(_path(outdir, "cumulative.stack"), phantom.synth_cumulative(spec))
     stackio.write_tc_csv(_path(outdir, "tau_true.csv"), phantom.tau_map(spec))
     with open(_path(outdir, "phantom.cfg"), "w", encoding="utf-8") as fh:
         fh.write(phantom.spec_to_config_text(spec))
-    _write_manifest(outdir, {"subcommand": "synth",
-                             "preset": args.preset or "",
-                             "config": args.config or "",
-                             **{k: v for k, v in overrides.items()}})
     print(f"wrote clean stacks for {spec.width_px}x{spec.height_px}x{spec.n_frames} phantom to {outdir}")
-    return 0
 
 
 def _cmd_degrade(args):
+    spec = _noise_spec(args)
+    stack = _read_incremental(args.stack)
     outdir = _ensure_outdir(args)
-    stack = stackio.read_stack(args.stack)
-    spec = NoiseSpec(base_snr_db=args.snr_db, bad_frame_snr_db=args.bad_snr_db,
-                     good_frame_fraction=args.good_fraction, rng_seed=args.seed)
     mask = place_bad_frames(stack.n_frames, spec)
     degraded = add_noise(stack, mask, spec)
     stackio.write_stack(_path(outdir, "degraded.stack"), degraded)
     stackio.write_mask(_path(outdir, "mask.csv"), mask)
-    _write_manifest(outdir, {"subcommand": "degrade", "stack": args.stack,
-                             "snr_db": args.snr_db, "bad_snr_db": args.bad_snr_db,
-                             "good_fraction": args.good_fraction, "seed": args.seed})
     print(f"degraded {stack.n_frames} frames ({mask.n_frames - mask.n_good} bad) to {outdir}")
-    return 0
 
 
 def _cmd_reconstruct(args):
-    outdir = _ensure_outdir(args)
-    stack = stackio.read_stack(args.stack)
     if args.method == "spline":
         if not args.mask:
             raise UsageError("--method spline requires --mask")
+        stack = _read_incremental(args.stack)
         mask = stackio.read_mask(args.mask)
+        if mask.n_frames != stack.n_frames:
+            raise stackio.InputError(f"{args.mask}: mask has {mask.n_frames} frames but "
+                                     f"{args.stack} has {stack.n_frames}")
         result = reconstruct_stack(stack, mask)
     else:
         spec = KalmanSpec(window_len=args.kalman_window, process_ratio=args.kalman_ratio)
-        result = kalman_denoise(stack, spec)
-    stackio.write_stack(_path(outdir, "reconstructed.stack"), result)
-    _write_manifest(outdir, {"subcommand": "reconstruct", "stack": args.stack,
-                             "method": args.method, "mask": args.mask or "",
-                             "kalman_window": args.kalman_window,
-                             "kalman_ratio": args.kalman_ratio})
-    print(f"reconstructed stack ({args.method}) written to {outdir}")
-    return 0
+        result = kalman_denoise(stackio.read_stack(args.stack), spec)
+    stackio.write_stack(_path(_ensure_outdir(args), "reconstructed.stack"), result)
+    print(f"reconstructed stack ({args.method}) written to {args.out}")
 
 
 def _regions_from_truth(truth):
@@ -301,17 +268,18 @@ def _regions_from_truth(truth):
 
 
 def _cmd_fit(args):
-    outdir = _ensure_outdir(args)
     stack = stackio.read_stack(args.stack)
-    if stack.kind == "incremental":
-        stack = fit_mod.cumulate(stack)
-        cumulated = True
-    else:
-        cumulated = False
+    if stack.n_frames < fit_mod.MIN_FRAMES:
+        raise stackio.InputError(f"{args.stack}: a fit needs at least {fit_mod.MIN_FRAMES} "
+                                 f"frames, got {stack.n_frames}")
     truth = stackio.read_tc_csv(args.truth) if args.truth else None
     if truth is not None and truth.shape != stack.frames.shape[1:]:
         raise stackio.InputError(f"{args.truth}: truth map shape {truth.shape} does not "
                                  f"match the stack's {stack.frames.shape[1:]}")
+    outdir = _ensure_outdir(args)
+    args.cumulated_input = stack.kind == "incremental"
+    if args.cumulated_input:
+        stack = fit_mod.cumulate(stack)
     config = fit_mod.LMConfig(max_iterations=args.lm_max_iter, rel_tolerance=args.lm_tol)
     tc = fit_mod.fit_stack(stack, config, truth)
     stackio.write_tc_csv(_path(outdir, "tau_map.csv"), tc.tau_map)
@@ -326,33 +294,28 @@ def _cmd_fit(args):
                 r = evaluate.compute_pre(tc, region, inc_mask)
                 fh.write(f"{r.region},{r.pre_percent!r},{r.mean_estimated_tau!r},"
                          f"{r.true_tau!r},{r.coverage!r}\n")
-    _write_manifest(outdir, {"subcommand": "fit", "stack": args.stack,
-                             "truth": args.truth or "", "cumulated_input": cumulated,
-                             "lm_max_iter": args.lm_max_iter, "lm_tol": args.lm_tol})
     print(f"TC image written to {outdir} "
           f"(converged {tc.converged_mask.mean() * 100:.1f}% of pixels)")
-    return 0
 
 
 def _load_grid_manifest(args):
     entries = stackio.read_manifest(args.from_manifest)
     if entries.get("subcommand") != "grid":
         raise UsageError(f"{args.from_manifest} is not a grid manifest")
-    for key, parse in _GRID_FIELDS.items():
+    for key in _GRID_KEYS:
+        if key not in entries:
+            raise stackio.InputError(f"{args.from_manifest}: grid manifest lacks '{key}'")
         try:
-            setattr(args, key, parse(entries[key]))
-        except KeyError:
-            raise stackio.InputError(
-                f"{args.from_manifest}: grid manifest lacks '{key}'") from None
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+            setattr(args, key, _SETTINGS[key][0](entries[key]))
+        except argparse.ArgumentTypeError as exc:
             raise stackio.InputError(
                 f"{args.from_manifest}: malformed grid manifest: {key}: {exc}") from None
 
 
 def _cmd_grid(args):
-    outdir = _ensure_outdir(args)
     if args.from_manifest:
         _load_grid_manifest(args)
+    outdir = _ensure_outdir(args)
     kalman_spec = KalmanSpec(window_len=args.kalman_window, process_ratio=args.kalman_ratio)
     lm_config = fit_mod.LMConfig(max_iterations=args.lm_max_iter,
                                  rel_tolerance=args.lm_tol)
@@ -391,31 +354,19 @@ def _cmd_grid(args):
         with open(_path(outdir, f"table_{sample}.txt"), "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write(table)
-    manifest = {"subcommand": "grid",
-                "samples": ",".join(args.samples),
-                "methods": ",".join(args.methods),
-                "snrs": ",".join(f"{s:g}" for s in args.snrs),
-                "fractions": ",".join(repr(f) for f in args.fractions),
-                "trials": args.trials, "seed": args.seed, "size": args.size,
-                "kalman_window": args.kalman_window, "kalman_ratio": args.kalman_ratio,
-                "lm_max_iter": args.lm_max_iter, "lm_tol": args.lm_tol,
-                "emit_maps": args.emit_maps}
-    _write_manifest(outdir, manifest)
     print(f"grid of {len(args.samples) * len(args.snrs) * len(args.fractions)} cells "
           f"x {len(args.methods)} methods written to {outdir}")
-    return 0
 
 
 def _cmd_demo(args):
-    outdir = _ensure_outdir(args)
+    noise = _noise_spec(args)
     spec = phantom.preset(args.preset, width_px=args.size, height_px=args.size)
-    row, col = args.pixel or (spec.height_px // 2, spec.width_px // 2)
+    args.pixel = row, col = args.pixel or (spec.height_px // 2, spec.width_px // 2)
     if not (0 <= row < spec.height_px and 0 <= col < spec.width_px):
         raise UsageError(f"pixel {row},{col} outside {spec.height_px}x{spec.width_px} image")
+    outdir = _ensure_outdir(args)
 
     clean = phantom.synth_incremental(spec)
-    noise = NoiseSpec(base_snr_db=args.snr_db, good_frame_fraction=args.good_fraction,
-                      rng_seed=args.seed)
     mask = place_bad_frames(spec.n_frames, noise)
     degraded = add_noise(clean, mask, noise)
     arms = {"clean": clean,
@@ -444,26 +395,35 @@ def _cmd_demo(args):
         for name, f in fits.items():
             fh.write(f"{name},{f.eta!r},{f.gamma!r},{f.tau!r},{f.residual_norm!r},"
                      f"{f.iterations},{f.converged}\n")
-    _write_manifest(outdir, {"subcommand": "demo", "preset": args.preset,
-                             "snr_db": args.snr_db, "good_fraction": args.good_fraction,
-                             "seed": args.seed, "size": args.size,
-                             "pixel": f"{row},{col}"})
     true_tau = phantom.tau_map(spec)[row, col]
     print(f"pixel ({row},{col}): true tau {true_tau:.3f} s; fitted tau "
           + ", ".join(f"{n}={fits[n].tau:.3f}" for n in arms))
-    return 0
 
 
-_COMMANDS = {"synth": _cmd_synth, "degrade": _cmd_degrade,
-             "reconstruct": _cmd_reconstruct, "fit": _cmd_fit,
-             "grid": _cmd_grid, "demo": _cmd_demo}
+# subcommand -> (function, help, the settings it takes, defaults of its own)
+_COMMANDS = {
+    "synth": (_cmd_synth, "write clean strain stacks for a phantom",
+              (("preset", "config"), *_SYNTH_OVERRIDES), {}),
+    "degrade": (_cmd_degrade, "corrupt an incremental stack",
+                ("stack", "snr_db", "good_fraction", "seed"), {}),
+    "reconstruct": (_cmd_reconstruct, "denoise or reconstruct a degraded stack",
+                    ("stack", "method", "mask", "kalman_window", "kalman_ratio"), {}),
+    "fit": (_cmd_fit, "fit the creep model and write the TC image",
+            ("stack", "truth", "lm_max_iter", "lm_tol"), {}),
+    "grid": (_cmd_grid, "run the Monte-Carlo comparison grid",
+             (*_GRID_KEYS, "jobs", "from_manifest"), {}),
+    "demo": (_cmd_demo, "one end-to-end cell with per-pixel curve output",
+             ("preset", "snr_db", "good_fraction", "seed", "size", "pixel"), {"snr_db": 60.0}),
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.subcommand](args)
+        _COMMANDS[args.subcommand][0](args)
+        _write_manifest(args)
+        return 0
     except UsageError as exc:
         print(f"straintc: usage error: {exc}", file=sys.stderr)
         return 1

@@ -51,6 +51,8 @@ _BLOCK_BYTES = 5 << 19
 # pooled into one batch: otherwise every block that holds one slow pixel
 # would pay that pixel's iterations in per-call overhead
 _FIRST_PHASE = 16
+# fewest samples a curve fit takes (the model has three parameters)
+MIN_FRAMES = 4
 
 
 # threads one fit may spread its first-phase blocks over; a run_grid pool
@@ -304,8 +306,8 @@ def fit_exponential(times, values, config: LMConfig = LMConfig()) -> ExpFit:
     values = np.asarray(values, dtype=np.float64)
     if times.ndim != 1 or values.shape != times.shape:
         raise ValueError("times and values must be matching 1-D vectors")
-    if times.size < 4:
-        raise ValueError(f"need at least 4 samples, got {times.size}")
+    if times.size < MIN_FRAMES:
+        raise ValueError(f"need at least {MIN_FRAMES} samples, got {times.size}")
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     eta, gamma, tau, rnorm, iters, conv = _lm_engine(times, values[None, :], config)
@@ -323,8 +325,8 @@ def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(),
     if stack.kind != "cumulative":
         raise ValueError("fit_stack expects a cumulative stack; apply cumulate() first")
     n, height, width = stack.frames.shape
-    if n < 4:
-        raise ValueError(f"need at least 4 frames, got {n}")
+    if n < MIN_FRAMES:
+        raise ValueError(f"need at least {MIN_FRAMES} frames, got {n}")
     times = frame_times(n, stack.sample_time_s)
     values = stack.frames.reshape(n, height * width).T
     _, _, tau, _, _, conv = _lm_engine(times, values, config)

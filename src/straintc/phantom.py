@@ -14,7 +14,8 @@ approximates s(t) - s(0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -34,6 +35,8 @@ class RegionParams:
     gamma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError(f"region parameters must be finite, got {self}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0 < self.poisson_ratio < 0.5:
@@ -49,6 +52,8 @@ def _default_region(young_modulus, poisson_ratio, tau, applied_stress_kpa=1.0,
     """Region with eta/gamma defaulted from the small-strain elastic estimate
     eta = stress/E and gamma = -eta/2 unless given explicitly."""
     if eta is None:
+        if not young_modulus > 0:
+            raise ValueError(f"young_modulus must be positive, got {young_modulus}")
         eta = applied_stress_kpa / young_modulus
     if gamma is None:
         gamma = -0.5 * eta
@@ -76,6 +81,10 @@ class PhantomSpec:
     applied_stress_kpa: float = 1.0
 
     def __post_init__(self):
+        floats = (self.field_width_m, self.field_height_m, *self.inclusion_center,
+                  self.inclusion_radius_m, self.sample_time_s, self.applied_stress_kpa)
+        if not all(map(math.isfinite, floats)):
+            raise ValueError("geometry, timing and stress must be finite")
         if self.width_px < 1 or self.height_px < 1:
             raise ValueError("pixel dimensions must be positive")
         if self.n_frames < 3:

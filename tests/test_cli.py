@@ -5,6 +5,7 @@ import pytest
 
 from straintc import phantom, stackio
 from straintc.cli import OUT_ENV, main
+from straintc.degrade import FrameQualityMask
 
 
 def run(*args):
@@ -164,6 +165,10 @@ def test_demo_outputs(tmp_path):
     assert [r["arm"] for r in fits] == ["clean", "noisy", "kalman", "spline"]
     clean_tau = float([r for r in fits if r["arm"] == "clean"][0]["tau"])
     assert clean_tau == pytest.approx(4.66, rel=1e-3)
+    # the manifest holds the resolved pixel and every set flag but --out
+    manifest = stackio.read_manifest(out / "manifest.txt")
+    assert manifest == {"subcommand": "demo", "preset": "A", "snr_db": "60.0",
+                        "good_fraction": "0.75", "seed": "3", "size": "16", "pixel": "8,8"}
 
 
 def test_fit_truth_shape_mismatch_is_input_error(tmp_path, capsys):
@@ -178,6 +183,33 @@ def test_fit_truth_shape_mismatch_is_input_error(tmp_path, capsys):
     assert err.startswith("straintc: input error:")
     assert "(2, 2)" in err and "(8, 8)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (("reconstruct", "--method", "spline", "--stack", "{deg}/degraded.stack",
+      "--mask", "{short_mask}"), "mask has 10 frames"),
+    (("reconstruct", "--method", "spline", "--stack", "{synth}/cumulative.stack",
+      "--mask", "{deg}/mask.csv"), "expected an incremental stack"),
+    (("degrade", "--stack", "{synth}/cumulative.stack"), "expected an incremental stack"),
+    (("fit", "--stack", "{tiny}/cumulative.stack"), "at least 4 frames"),
+    (("fit", "--stack", "{tiny}/incremental.stack"), "at least 4 frames"),
+])
+def test_input_fault_is_input_error(tmp_path, capsys, args, message):
+    dirs = {name: tmp_path / name for name in ("synth", "deg", "tiny")}
+    run("synth", "--preset", "A", "--width", "8", "--height", "8", "--frames", "20",
+        "--out", str(dirs["synth"]))
+    run("synth", "--preset", "A", "--width", "8", "--height", "8", "--frames", "3",
+        "--out", str(dirs["tiny"]))
+    run("degrade", "--stack", str(dirs["synth"] / "incremental.stack"),
+        "--out", str(dirs["deg"]))
+    dirs["short_mask"] = tmp_path / "short_mask.csv"
+    stackio.write_mask(dirs["short_mask"], FrameQualityMask(np.ones(10, bool), np.zeros(10)))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(*(a.format(**dirs) for a in args), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("straintc: input error:") and message in err
+    assert not out.exists()
 
 
 def test_demo_pixel_bounds(tmp_path):
@@ -222,6 +254,16 @@ def test_grid_outputs_and_manifest_rerun(tmp_path):
                  "--out", str(out2)]) == 0
     assert (out2 / "grid.csv").read_bytes() == csv1
     assert (out2 / "table_A.txt").read_text() == table
+
+
+def test_grid_manifest_records_snrs_exactly(tmp_path):
+    out = tmp_path / "g"
+    assert main(grid_args(out, **{"--snrs": "33.3333333", "--methods": "noisy"})) == 0
+    assert stackio.read_manifest(out / "manifest.txt")["snrs"] == "33.3333333"
+    rerun = tmp_path / "rerun"
+    assert main(["grid", "--from-manifest", str(out / "manifest.txt"),
+                 "--out", str(rerun)]) == 0
+    assert (rerun / "grid.csv").read_bytes() == (out / "grid.csv").read_bytes()
 
 
 def test_grid_emit_maps(tmp_path):
@@ -278,7 +320,7 @@ def test_grid_csv_columns(tmp_path):
                                          ("--fractions", "nan"), ("--lm-max-iter", "0"),
                                          ("--lm-tol", "0"), ("--lm-tol", "-1"),
                                          ("--snrs", "nan"), ("--snrs", "inf"),
-                                         ("--snrs", "30,-inf")])
+                                         ("--snrs", "30,-inf"), ("--seed", "-1")])
 def test_bad_grid_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     assert main(grid_args(tmp_path / "g", **{flag: value})) == 1
     assert "usage error" in capsys.readouterr().err
@@ -290,9 +332,14 @@ def test_bad_grid_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     ("synth", "--preset", "A", "--frames", "0"), ("synth", "--preset", "A", "--frames", "2"),
     ("synth", "--preset", "A", "--sample-time-s", "0"),
     ("degrade", "--stack", "none.stack", "--good-fraction", "1.5"),
+    ("degrade", "--stack", "none.stack", "--snr-db", "nan"),
+    ("degrade", "--stack", "none.stack", "--snr-db", "-5"),
+    ("degrade", "--stack", "none.stack", "--seed", "-1"),
+    ("degrade", "--stack", "none.stack", "--snr-db", "5", "--bad-snr-db", "10"),
     ("fit", "--stack", "none.stack", "--lm-max-iter", "0"),
     ("fit", "--stack", "none.stack", "--lm-tol", "nan"),
-    ("demo", "--size", "0"), ("demo", "--good-fraction", "0"),
+    ("demo", "--size", "0"), ("demo", "--good-fraction", "0"), ("demo", "--seed", "-1"),
+    ("demo", "--snr-db", "nan"), ("demo", "--snr-db", "0"),
     ("demo", "--pixel", "x,y"), ("demo", "--pixel", "3"), ("demo", "--pixel", "1,2,3")])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, args):
     out = tmp_path / "o"
@@ -301,8 +348,17 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+CONFIG = phantom.spec_to_config_text(phantom.preset("A", width_px=8, height_px=8, n_frames=20))
+NON_FINITE_CONFIGS = [
+    pytest.param(CONFIG.replace(f"{key} = {value}", f"{key} = {bad}").encode(), id=f"{key}={bad}")
+    for key, value, bad in [("field_width_m", "0.04", "nan"), ("sample_time_s", "0.5", "inf"),
+                            ("applied_stress_kpa", "1.0", "nan"),
+                            ("inclusion.tau", "4.66", "inf")]]
+
+
 @pytest.mark.parametrize("text", [b"width_px = abc\n", b"nonsense line\n", b"preset = Z\n",
-                                  b"preset = A\nwidth_px = 8\n", b"\xff\xfe = 1\n"])
+                                  b"preset = A\nwidth_px = 8\n", b"\xff\xfe = 1\n",
+                                  *NON_FINITE_CONFIGS])
 def test_malformed_phantom_config_is_input_error(tmp_path, capsys, text):
     cfg = tmp_path / "ph.cfg"
     cfg.write_bytes(text)
@@ -333,7 +389,8 @@ GRID_MANIFEST = {"subcommand": "grid", "samples": "A", "methods": "noisy", "snrs
                                         ("kalman_ratio", "nan"), ("trials", "0"),
                                         ("size", "-1"), ("fractions", "0.5,1.5"),
                                         ("lm_max_iter", "0"), ("lm_tol", "inf"),
-                                        ("snrs", "nan"), ("snrs", "60,inf")])
+                                        ("snrs", "nan"), ("snrs", "60,inf"),
+                                        ("seed", "-1"), ("emit_maps", "yes")])
 def test_bad_grid_manifest_value_is_input_error(tmp_path, capsys, key, value):
     path = tmp_path / "manifest.txt"
     stackio.write_manifest(path, {**GRID_MANIFEST, key: value})

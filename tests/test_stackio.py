@@ -2,10 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from straintc import stackio
 from straintc.degrade import FrameQualityMask
-from straintc.phantom import StrainStack, preset, synth_incremental
+from straintc.phantom import (StrainStack, preset, spec_from_config_text, spec_to_config_text,
+                              synth_incremental)
 
 
 def test_stack_round_trip(tmp_path):
@@ -167,3 +170,82 @@ def test_manifest_round_trip(tmp_path):
     bad.write_text("no equals sign here\n")
     with pytest.raises(ValueError, match="malformed"):
         stackio.read_manifest(bad)
+
+
+# ---------------------------------------------------------------------------
+# property: for any file content, a reader returns a value or raises InputError
+
+# a fixed alphabet: number and CSV syntax, line breaks, NUL and non-ASCII
+_TEXT = st.text("0123456789 ,.+-_eE#=nainfgodbl\t\r\n\x00\x85\xe9\u2028\U0001f600",
+                max_size=80)
+_FIELDS = st.one_of(
+    st.integers(-2, 6).map(str), st.floats().map(repr), _TEXT.map(lambda t: t[:6]),
+    st.sampled_from(["good", "bad", "nan", "-inf", "1e999", "0", "-0.0", "1e-308", "A"]))
+_LINES = st.lists(st.lists(_FIELDS, max_size=4).map(",".join), max_size=6).map("\n".join)
+
+
+def _file_bytes(header=""):
+    """Arbitrary bytes, or UTF-8 text (raw or CSV-like lines) with or without header."""
+    text = st.tuples(st.sampled_from(["", header]), st.one_of(_TEXT, _LINES)).map("".join)
+    return st.one_of(st.binary(max_size=120), text.map(str.encode))
+
+
+_SIZES = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+_STACK_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(stackio.MAGIC.__add__),
+    st.builds(lambda version, n, h, w, ts, kind, payload:
+              stackio.MAGIC + struct.pack("<IIIIdB", version, n, h, w, ts, kind) + payload,
+              st.one_of(st.just(stackio.VERSION), st.integers(0, 2 ** 32 - 1)),
+              _SIZES, _SIZES, _SIZES, st.floats(),
+              st.one_of(st.integers(0, 1), st.integers(0, 255)), st.binary(max_size=120)))
+
+
+@pytest.mark.parametrize("reader, contents", [
+    (stackio.read_stack, _STACK_BYTES),
+    (stackio.read_mask, _file_bytes("frame,label,snr_db\n")),
+    (stackio.read_manifest, _file_bytes()),
+    (stackio.read_tc_csv, _file_bytes()),
+], ids=["stack", "mask", "manifest", "tc_csv"])
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reader_returns_or_raises_input_error(tmp_path, reader, contents, data):
+    path = tmp_path / "input"
+    path.write_bytes(data.draw(contents))
+    try:
+        reader(path)
+    except stackio.InputError:
+        pass
+
+
+_BASE_CONFIG = dict(line.split(" = ", 1) for line in spec_to_config_text(
+    preset("A", width_px=8, height_px=8, n_frames=20)).splitlines())
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "1e308", "1e-308", "0.02, 0.02",
+                     "0.02, nan", "1, 2, 3"]),
+    _FIELDS, st.integers(-3, 10 ** 6).map(str))
+
+
+@st.composite
+def _config_texts(draw):
+    """Raw text, or the 8x8 preset A config (eta and gamma given or derived
+    from the stress) with keys changed, added or dropped."""
+    if draw(st.booleans()):
+        return draw(_TEXT)
+    entries = {k: v for k, v in _BASE_CONFIG.items()
+               if not k.endswith((".eta", ".gamma")) or draw(st.booleans())}
+    keys = st.sampled_from([*entries, "preset", "unknown"])
+    entries.update(draw(st.dictionaries(keys, _CONFIG_VALUES, max_size=3)))
+    for key in draw(st.lists(keys, max_size=1)):
+        entries.pop(key, None)
+    return "".join(f"{k} = {v}\n" for k, v in entries.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_config_texts())
+def test_config_parser_returns_spec_or_raises_input_error(text):
+    try:
+        spec_from_config_text(text)
+    except stackio.InputError:
+        pass
