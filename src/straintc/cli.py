@@ -36,7 +36,7 @@ import numpy as np
 from . import evaluate, fit as fit_mod, phantom, stackio
 from .degrade import NoiseSpec, add_noise, place_bad_frames
 from .kalman import KalmanSpec, kalman_denoise
-from .spline import reconstruct_stack
+from .spline import MIN_KNOTS, reconstruct_stack
 
 OUT_ENV = "STRAINTC_OUT"
 
@@ -227,6 +227,10 @@ def _cmd_synth(args):
 def _cmd_degrade(args):
     spec = _noise_spec(args)
     stack = _read_incremental(args.stack)
+    if stack.n_frames < MIN_KNOTS:
+        # fewer frames than the good ones any fraction must keep
+        raise stackio.InputError(f"{args.stack}: degrading needs at least {MIN_KNOTS} "
+                                 f"frames, got {stack.n_frames}")
     outdir = _ensure_outdir(args)
     mask = place_bad_frames(stack.n_frames, spec)
     degraded = add_noise(stack, mask, spec)

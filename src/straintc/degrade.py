@@ -122,8 +122,10 @@ def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> St
     frames = stack.frames
     rms = np.sqrt(np.mean(frames ** 2, axis=(1, 2)))
     sigma = rms * 10.0 ** (-mask.applied_snr_db / 20.0)
-    out = np.empty_like(frames)
+    out = np.empty(frames.shape)
     for n in range(stack.n_frames):
-        noise = _rng(spec.rng_seed, _FRAME_STREAM, n).standard_normal(frames.shape[1:])
-        out[n] = frames[n] + sigma[n] * noise
+        # the arithmetic of frames[n] + sigma[n] * noise, without temporaries
+        _rng(spec.rng_seed, _FRAME_STREAM, n).standard_normal(out=out[n])
+        out[n] *= sigma[n]
+        out[n] += frames[n]
     return StrainStack(out, stack.sample_time_s, "incremental")

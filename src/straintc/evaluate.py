@@ -253,6 +253,29 @@ _DETECT_WINDOW = 7
 _DETECT_THRESHOLD = 4.0
 _DETECT_MIN_SCALE = 0.01
 
+# min/max sorting networks (Knuth, TAOCP vol. 3, 5.3.4), one per window
+# length: _DETECT_WINDOW and the odd windows it shrinks to at the stack edges
+_MEDIAN_NETWORKS = {
+    1: (),
+    3: ((0, 1), (1, 2), (0, 1)),
+    5: ((0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)),
+    7: ((0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4),
+        (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)),
+}
+
+
+def _median_rows(rows):
+    """Elementwise median of an odd number of equal-length rows.
+
+    The middle output of a sorting network is one of the inputs, so this
+    equals np.median(rows, axis=0) but for the sign of a zero where -0.0
+    and 0.0 tie.
+    """
+    rows = list(rows)
+    for i, j in _MEDIAN_NETWORKS[len(rows)]:
+        rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+    return rows[len(rows) // 2]
+
 
 def detect_bad_frames(stack: StrainStack) -> FrameQualityMask:
     """Heuristic good/bad labeling of an incremental stack.
@@ -278,7 +301,7 @@ def detect_bad_frames(stack: StrainStack) -> FrameQualityMask:
     rel_dev = np.empty(n)
     for k in range(n):
         half = min(half_max, k, n - 1 - k)
-        ref = np.median(frames[k - half:k + half + 1], axis=0)
+        ref = _median_rows(frames[k - half:k + half + 1])
         dev = np.median(np.abs(frames[k] - ref))
         mag = np.median(np.abs(ref))
         rel_dev[k] = dev / max(mag, tiny)

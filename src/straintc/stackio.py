@@ -5,7 +5,7 @@ Stack files are self-describing little-endian binary:
 
     bytes 0..11   magic "STRAINSTACK\\0"
     bytes 12..15  uint32 format version (currently 1)
-    uint32 x 3    N, H, W
+    uint32 x 3    N, H, W, each at least 1
     float64       sample_time_s
     uint8         kind flag (0 = incremental, 1 = cumulative)
     float64 x N*H*W   frames, frame-major then row-major
@@ -41,10 +41,10 @@ def write_stack(path, stack: StrainStack) -> None:
     n, h, w = stack.frames.shape
     header = MAGIC + _HEADER.pack(VERSION, n, h, w, stack.sample_time_s,
                                   _KIND_FLAGS[stack.kind])
-    payload = np.ascontiguousarray(stack.frames, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(stack.frames, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload.view(np.uint8))
 
 
 def read_stack(path) -> StrainStack:
@@ -60,14 +60,17 @@ def read_stack(path) -> StrainStack:
             raise InputError(f"{path}: unsupported stack format version {version}")
         if kind_flag not in _FLAG_KINDS:
             raise InputError(f"{path}: unknown stack kind flag {kind_flag}")
+        if 0 in (n, h, w):
+            raise InputError(f"{path}: empty stack ({n} frames of {h} x {w})")
         # compare sizes before reading: a corrupt header can claim more
         # frames than memory holds
         if os.fstat(fh.fileno()).st_size - fh.tell() < n * h * w * 8:
             raise InputError(f"{path}: truncated stack payload")
-        frames = np.frombuffer(fh.read(n * h * w * 8), dtype="<f8")
+        frames = np.empty((n, h, w), "<f8")
+        if fh.readinto(frames.view(np.uint8)) != frames.nbytes:
+            raise InputError(f"{path}: truncated stack payload")
     try:
-        return StrainStack(frames.reshape(n, h, w).astype(np.float64),
-                           sample_time_s, _FLAG_KINDS[kind_flag])
+        return StrainStack(frames, sample_time_s, _FLAG_KINDS[kind_flag])
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

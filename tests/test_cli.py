@@ -193,9 +193,20 @@ def test_fit_truth_shape_mismatch_is_input_error(tmp_path, capsys):
     (("degrade", "--stack", "{synth}/cumulative.stack"), "expected an incremental stack"),
     (("fit", "--stack", "{tiny}/cumulative.stack"), "at least 4 frames"),
     (("fit", "--stack", "{tiny}/incremental.stack"), "at least 4 frames"),
+    (("degrade", "--stack", "{tiny}/incremental.stack"), "at least 4 frames"),
+    (("degrade", "--stack", "{frames_1x4x4}"), "at least 4 frames"),
+    *((args, "empty stack") for shape in ("0x4x4", "20x0x4", "20x4x0") for args in (
+        ("degrade", "--stack", f"{{frames_{shape}}}"),
+        ("fit", "--stack", f"{{frames_{shape}}}"),
+        ("reconstruct", "--method", "kalman", "--stack", f"{{frames_{shape}}}"))),
 ])
+@pytest.mark.filterwarnings("error")
 def test_input_fault_is_input_error(tmp_path, capsys, args, message):
     dirs = {name: tmp_path / name for name in ("synth", "deg", "tiny")}
+    for shape in ("1x4x4", "0x4x4", "20x0x4", "20x4x0"):
+        dirs[f"frames_{shape}"] = path = tmp_path / f"{shape}.stack"
+        frames = np.zeros(tuple(int(size) for size in shape.split("x")))
+        stackio.write_stack(path, phantom.StrainStack(frames, 0.5, "incremental"))
     run("synth", "--preset", "A", "--width", "8", "--height", "8", "--frames", "20",
         "--out", str(dirs["synth"]))
     run("synth", "--preset", "A", "--width", "8", "--height", "8", "--frames", "3",
@@ -209,6 +220,7 @@ def test_input_fault_is_input_error(tmp_path, capsys, args, message):
     assert run(*(a.format(**dirs) for a in args), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("straintc: input error:") and message in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

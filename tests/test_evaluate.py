@@ -267,3 +267,75 @@ def test_detector_validation():
     stack = StrainStack(np.zeros((5, 4, 4)), 0.5, "incremental")
     with pytest.raises(ValueError, match="at least 8"):
         detect_bad_frames(stack)
+
+
+# the detector's temporal medians come from min/max sorting networks
+
+def median_loop(frames):
+    """The detector's relative deviations with np.median for the temporal
+    reference, as the comparator networks replaced it."""
+    n = frames.shape[0]
+    frames = frames.reshape(n, -1)
+    half_max = evaluate._DETECT_WINDOW // 2
+    rel_dev = np.empty(n)
+    for k in range(n):
+        half = min(half_max, k, n - 1 - k)
+        ref = np.median(frames[k - half:k + half + 1], axis=0)
+        dev = np.median(np.abs(frames[k] - ref))
+        mag = np.median(np.abs(ref))
+        rel_dev[k] = dev / max(mag, np.finfo(np.float64).tiny)
+    scale = max(float(np.median(rel_dev)), evaluate._DETECT_MIN_SCALE)
+    return rel_dev <= evaluate._DETECT_THRESHOLD * scale
+
+
+def test_every_detector_window_has_a_median_network():
+    windows = range(evaluate._DETECT_WINDOW, 0, -2)
+    assert evaluate._DETECT_WINDOW % 2 == 1
+    assert set(windows) <= set(evaluate._MEDIAN_NETWORKS)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_median_network_on_every_binary_input(m):
+    # 0-1 principle: a comparator network that selects the median of every
+    # 0/1 input selects it for every input
+    bits = (np.arange(2 ** m)[None, :] >> np.arange(m)[:, None]) & 1
+    expected = (bits.sum(axis=0) > m // 2).astype(float)
+    assert np.array_equal(evaluate._median_rows(bits.astype(float)), expected)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_median_network_equals_np_median(m):
+    rng = np.random.default_rng(m)
+    specials = np.array([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0])
+    rows = np.concatenate([
+        rng.choice(specials, size=(m, 4000)),  # ties, signed zeros, extremes, subnormals
+        rng.integers(-2, 3, size=(m, 4000)) * 0.5,  # many ties
+        rng.standard_normal((m, 4000)),
+    ], axis=1)
+    # array_equal treats -0.0 == 0.0: where they tie, np.median and the
+    # network may return zeros of different sign; the detector only uses
+    # the median through abs(), which removes the sign
+    assert np.array_equal(evaluate._median_rows(rows), np.median(rows, axis=0))
+
+
+def _detector_cases():
+    """The minimum stack, constant frames, a pure-noise frame in each
+    shrunken edge window, and a degraded 128x128 stack."""
+    yield np.random.default_rng(8).standard_normal((8, 16, 16))
+    yield np.full((30, 8, 8), 2.5e-4)
+    clean = synth_incremental(preset("A", width_px=16, height_px=16, n_frames=40)).frames
+    rng = np.random.default_rng(5)
+    for k in (0, 1, 2, 3, 36, 37, 38, 39):
+        frames = clean.copy()
+        frames[k] = rng.standard_normal(frames[k].shape) * np.sqrt(np.mean(frames[k] ** 2))
+        yield frames
+    spec = preset("C")
+    noise = NoiseSpec(base_snr_db=30.0, good_frame_fraction=0.2, rng_seed=1)
+    yield add_noise(synth_incremental(spec), place_bad_frames(spec.n_frames, noise),
+                    noise).frames
+
+
+def test_detector_equals_np_median_loop():
+    for frames in _detector_cases():
+        detected = detect_bad_frames(StrainStack(frames, 0.5, "incremental"))
+        assert np.array_equal(detected.good, median_loop(frames))

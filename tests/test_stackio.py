@@ -1,4 +1,5 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,33 @@ def test_stack_round_trip(tmp_path):
     assert np.array_equal(back.frames, stack.frames)
     assert back.sample_time_s == stack.sample_time_s
     assert back.kind == "incremental"
+
+
+def test_stack_file_layout(tmp_path):
+    stack = synth_incremental(preset("B", width_px=6, height_px=5, n_frames=9))
+    path = tmp_path / "s.stack"
+    stackio.write_stack(path, stack)
+    header = struct.pack("<IIIIdB", stackio.VERSION, 9, 5, 6, stack.sample_time_s, 0)
+    assert path.read_bytes() == stackio.MAGIC + header + stack.frames.tobytes()
+
+
+def test_stack_round_trip_non_contiguous(tmp_path):
+    frames = np.arange(4 * 6 * 10, dtype=float).reshape(4, 6, 10)[::-1, ::2, 1::3]
+    assert not frames.flags.c_contiguous
+    path = tmp_path / "v.stack"
+    stackio.write_stack(path, StrainStack(frames, 0.5, "cumulative"))
+    back = stackio.read_stack(path)
+    assert np.array_equal(back.frames, frames) and back.frames.flags.c_contiguous
+
+
+def test_stack_that_shrinks_while_read_is_input_error(tmp_path, monkeypatch):
+    path = tmp_path / "s.stack"
+    stackio.write_stack(path, StrainStack(np.ones((3, 2, 2)), 0.5, "incremental"))
+    path.write_bytes(path.read_bytes()[:-8])
+    # the size check passes, then the payload read comes up short
+    monkeypatch.setattr(stackio.os, "fstat", lambda fd: SimpleNamespace(st_size=10 ** 6))
+    with pytest.raises(stackio.InputError, match="truncated stack payload"):
+        stackio.read_stack(path)
 
 
 def test_stack_kind_flag(tmp_path):
@@ -67,6 +95,10 @@ def test_stack_truncated(tmp_path):
     # dimensions far beyond the file (and memory) must not be read
     (b"STRAINSTACK\0" + struct.pack("<IIIIdB", 1, 4_000_000_000, 100_000, 100_000, 0.5, 0),
      "truncated stack payload"),
+    (b"STRAINSTACK\0" + struct.pack("<IIIIdB", 1, 2, 2, 2, 0.5, 0), "truncated stack payload"),
+    # stacks without frames or with empty frames
+    *((b"STRAINSTACK\0" + struct.pack("<IIIIdB", 1, *shape, 0.5, 0), "empty stack")
+      for shape in ((0, 4, 4), (20, 0, 4), (20, 4, 0), (0, 0, 0))),
 ])
 def test_stack_malformed_header_is_input_error(tmp_path, raw, message):
     path = tmp_path / "h.stack"
