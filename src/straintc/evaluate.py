@@ -149,9 +149,13 @@ def _run_cell(args):
         degraded = add_noise(clean, mask, noise)
         for method in methods:
             start = time.perf_counter()
+            # each stack is dropped once used, so that at most clean,
+            # degraded, denoised and cumulative stacks are alive together
             denoised = apply_method(method, degraded, mask, kalman_spec)
             cum = fit_mod.cumulate(denoised)
+            del denoised
             tc = fit_mod.fit_stack(cum, lm_config, truth)
+            del cum
             wall[method] += time.perf_counter() - start
             for region in REGIONS:
                 try:
@@ -163,6 +167,7 @@ def _run_cell(args):
                 cover[method, region].append(coverage)
             if want_maps and trial == 0:
                 maps[method] = tc
+        del degraded
     results = []
     for method in methods:
         for region in REGIONS:
@@ -302,8 +307,9 @@ def detect_bad_frames(stack: StrainStack) -> FrameQualityMask:
     for k in range(n):
         half = min(half_max, k, n - 1 - k)
         ref = _median_rows(frames[k - half:k + half + 1])
-        dev = np.median(np.abs(frames[k] - ref))
-        mag = np.median(np.abs(ref))
+        # both inputs are fresh temporaries, so they are partitioned in place
+        dev = np.median(np.abs(frames[k] - ref), overwrite_input=True)
+        mag = np.median(np.abs(ref), overwrite_input=True)
         rel_dev[k] = dev / max(mag, tiny)
     scale = max(float(np.median(rel_dev)), _DETECT_MIN_SCALE)
     good = rel_dev <= _DETECT_THRESHOLD * scale

@@ -206,8 +206,12 @@ def synth_incremental(spec: PhantomSpec) -> StrainStack:
     """
     eta, gamma, tau = param_maps(spec)
     t = frame_times(spec.n_frames, spec.sample_time_s)
-    decay = np.exp(-t[:, None, None] / tau[None])
-    frames = -(gamma[None] / tau[None]) * decay * spec.sample_time_s
+    # the arithmetic of -(gamma / tau) * exp(-t / tau) * T_s, built in place
+    # in the one output array
+    frames = np.divide(-t[:, None, None], tau[None])
+    np.exp(frames, out=frames)
+    frames *= -(gamma / tau)
+    frames *= spec.sample_time_s
     return StrainStack(frames, spec.sample_time_s, "incremental")
 
 

@@ -23,6 +23,10 @@ from .phantom import StrainStack, frame_times
 
 
 MIN_KNOTS = 4
+# bytes per (frames, pixels) float64 array of one block of pixel columns in
+# reconstruct_stack: 1092 pixels at 300 frames, so the solve's temporaries
+# stay a few MiB whatever the image size (a 32x32 stack is one block)
+_BLOCK_BYTES = 5 << 19
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
@@ -142,10 +146,13 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     spline interpolation over the good frames.
 
     Good frames pass through bit-exactly.  All pixels share the same knot
-    times, so one tridiagonal factorization serves the whole image: the solve
-    is vectorized over pixels.  Coefficients are formed only for the
-    intervals that hold a bad frame, and each bad frame is evaluated straight
-    into its output row, so no (n_bad, pixels) temporaries exist.
+    times, so one tridiagonal system serves the whole image: the solve is
+    vectorized over pixels.  Every operation acts on each pixel's column
+    alone, so the pixels are rebuilt in blocks of columns, _BLOCK_BYTES per
+    (frames, pixels) array, with the same bits as one whole-image pass and
+    temporaries whose size does not grow with the image.  Coefficients are
+    formed only for the intervals that hold a bad frame, and each bad frame
+    is evaluated straight into its output row.
     """
     if stack.kind != "incremental":
         raise ValueError("reconstruction operates on incremental stacks")
@@ -161,21 +168,30 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     times = frame_times(stack.n_frames, stack.sample_time_s)
     knots = times[mask.good]
     n, height, width = stack.frames.shape
-    flat = stack.frames.reshape(n, height * width)
-    vals = flat[mask.good]
+    pixels = height * width
+    flat = stack.frames.reshape(n, pixels)
+    flat_out = out.reshape(n, pixels)
 
-    M = _natural_second_derivatives(knots, vals)
+    good = mask.good_indices
     idx = np.clip(np.searchsorted(knots, times[bad], side="right") - 1, 0, knots.size - 2)
     intervals, row_of = np.unique(idx, return_inverse=True)
-    a, b, c, d = _interval_coefficients(knots, vals, M, intervals)
-    flat_out = out.reshape(n, height * width)
-    for k, j, dt in zip(bad, row_of, times[bad] - knots[idx]):
-        # Horner's rule ((a dt + b) dt + c) dt + d in place
-        row = flat_out[k]
-        np.multiply(a[j], dt, out=row)
-        row += b[j]
-        row *= dt
-        row += c[j]
-        row *= dt
-        row += d[j]
+    dts = times[bad] - knots[idx]
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for lo in range(0, pixels, step):
+        cols = slice(lo, min(lo + step, pixels))
+        # gathered row by row: fancy indexing of a column block is ~4x slower
+        vals = np.empty((good.size, cols.stop - lo))
+        for i, k in enumerate(good):
+            vals[i] = flat[k, cols]
+        M = _natural_second_derivatives(knots, vals)
+        a, b, c, d = _interval_coefficients(knots, vals, M, intervals)
+        for k, j, dt in zip(bad, row_of, dts):
+            # Horner's rule ((a dt + b) dt + c) dt + d in place
+            row = flat_out[k, cols]
+            np.multiply(a[j], dt, out=row)
+            row += b[j]
+            row *= dt
+            row += c[j]
+            row *= dt
+            row += d[j]
     return StrainStack(out, stack.sample_time_s, "incremental")

@@ -38,7 +38,11 @@ class InputError(ValueError):
 
 
 def write_stack(path, stack: StrainStack) -> None:
+    """Write a stack file; a stack with no frames or with empty frames is
+    refused with ValueError, since read_stack would reject the file."""
     n, h, w = stack.frames.shape
+    if 0 in (n, h, w):
+        raise ValueError(f"cannot write an empty stack ({n} frames of {h} x {w})")
     header = MAGIC + _HEADER.pack(VERSION, n, h, w, stack.sample_time_s,
                                   _KIND_FLAGS[stack.kind])
     payload = np.ascontiguousarray(stack.frames, dtype="<f8")

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -203,10 +204,14 @@ def test_fit_truth_shape_mismatch_is_input_error(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 def test_input_fault_is_input_error(tmp_path, capsys, args, message):
     dirs = {name: tmp_path / name for name in ("synth", "deg", "tiny")}
-    for shape in ("1x4x4", "0x4x4", "20x0x4", "20x4x0"):
+    dirs["frames_1x4x4"] = tmp_path / "1x4x4.stack"
+    stackio.write_stack(dirs["frames_1x4x4"],
+                        phantom.StrainStack(np.zeros((1, 4, 4)), 0.5, "incremental"))
+    for shape in ("0x4x4", "20x0x4", "20x4x0"):
+        # write_stack refuses empty stacks, so their files are written by hand
         dirs[f"frames_{shape}"] = path = tmp_path / f"{shape}.stack"
-        frames = np.zeros(tuple(int(size) for size in shape.split("x")))
-        stackio.write_stack(path, phantom.StrainStack(frames, 0.5, "incremental"))
+        sizes = tuple(int(size) for size in shape.split("x"))
+        path.write_bytes(stackio.MAGIC + struct.pack("<IIIIdB", stackio.VERSION, *sizes, 0.5, 0))
     run("synth", "--preset", "A", "--width", "8", "--height", "8", "--frames", "20",
         "--out", str(dirs["synth"]))
     run("synth", "--preset", "A", "--width", "8", "--height", "8", "--frames", "3",

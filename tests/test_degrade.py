@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from straintc import degrade
 from straintc.degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_frames
 from straintc.phantom import StrainStack, preset, synth_incremental
 
@@ -120,6 +121,22 @@ def test_noise_reproducible_and_clean_recoverable():
     assert np.array_equal(a.frames - stack.frames, b.frames - stack.frames)
     recovered = a.frames - (b.frames - stack.frames)
     assert np.allclose(recovered, stack.frames, rtol=0, atol=1e-18)
+
+
+@pytest.mark.parametrize("frames_per_block", [1, 7, 64])
+def test_add_noise_equals_whole_stack_expression(frames_per_block, monkeypatch):
+    # the per-frame RMS comes from blocks of frames (a ragged last one at 7),
+    # with the bits of the whole-stack expression
+    stack = synth_incremental(preset("B", width_px=12, height_px=10, n_frames=50))
+    monkeypatch.setattr(degrade, "_BLOCK_BYTES", frames_per_block * 12 * 10 * 8)
+    ns = spec(0.5, snr=40.0, seed=5)
+    mask = place_bad_frames(stack.n_frames, ns)
+    frames = stack.frames
+    sigma = np.sqrt(np.mean(frames ** 2, axis=(1, 2))) * 10.0 ** (-mask.applied_snr_db / 20.0)
+    noise = np.stack([degrade._rng(5, degrade._FRAME_STREAM, n).standard_normal(frames[n].shape)
+                      for n in range(stack.n_frames)])
+    expected = frames + sigma[:, None, None] * noise
+    assert np.array_equal(add_noise(stack, mask, ns).frames, expected)
 
 
 def test_add_noise_shape_mismatch():

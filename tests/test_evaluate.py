@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from straintc import evaluate
+from straintc import fit as fit_mod
 from straintc.degrade import NoiseSpec, add_noise, place_bad_frames
 from straintc.evaluate import compute_pre, detect_bad_frames, format_grid_table, run_grid
 from straintc.fit import LMConfig, TCImage
@@ -152,6 +155,28 @@ def test_grid_empty_region_is_nan_not_abort():
     for r in res:
         assert np.isnan(r.pre_mean) and np.isnan(r.pre_std)
         assert r.coverage == 0.0
+
+
+def test_grid_holds_at_most_four_stacks_and_the_fit_blocks(monkeypatch):
+    # a cell-trial frees each stack once used, so that no more than clean,
+    # degraded, denoised and cumulative stacks are alive at once, or three
+    # of them and the fit's blocks; one fit thread keeps the fit's peak
+    # independent of scheduling
+    monkeypatch.setattr(fit_mod, "_fit_threads", 1)
+    spec = preset("A", width_px=64, height_px=64)
+    cum = fit_mod.cumulate(synth_incremental(spec))
+    tracemalloc.start()
+    try:
+        fit_mod.fit_stack(cum)
+        fit_blocks = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_grid(samples=("A",), snrs=(30.0,), fractions=(0.75,), trials=2, width=64, height=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * cum.frames.nbytes + fit_blocks, (
+        f"peak {peak / cum.frames.nbytes:.2f} stacks, fit blocks "
+        f"{fit_blocks / cum.frames.nbytes:.2f} stacks")
 
 
 @pytest.mark.parametrize("jobs, cpus, pools", [(64, 4, [3]), (64, 2, [2]), (2, 8, [2]),

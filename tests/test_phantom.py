@@ -95,6 +95,17 @@ def test_synth_incremental_frozen_oracle_value():
     assert stack.frames[0, 0, 0] == pytest.approx(INCREMENT_N1, rel=1e-13)
 
 
+@pytest.mark.parametrize("sample", ["A", "B", "C"])
+def test_synth_incremental_equals_whole_stack_expression(sample):
+    # built in place in its output array, with the bits of the expression
+    spec = preset(sample, width_px=24, height_px=20, n_frames=50)
+    eta, gamma, tau = param_maps(spec)
+    t = frame_times(spec.n_frames, spec.sample_time_s)
+    decay = np.exp(-t[:, None, None] / tau[None])
+    expected = -(gamma[None] / tau[None]) * decay * spec.sample_time_s
+    assert np.array_equal(synth_incremental(spec).frames, expected)
+
+
 def test_synth_incremental_zero_gamma():
     region = RegionParams(young_modulus=10, poisson_ratio=0.4, tau=5.0, eta=0.02, gamma=0.0)
     spec = PhantomSpec(inclusion=region, background=region, width_px=2, height_px=2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,17 +303,41 @@ def all_interval_reconstruction(stack, mask):
 
 
 @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.75])
-def test_reconstruction_matches_all_interval_formula(fraction):
-    # only the intervals holding a bad frame get coefficients, and frames
-    # are evaluated one by one: the same operations, so the same bits
+def test_reconstruction_matches_all_interval_formula(fraction, monkeypatch):
+    # only the intervals holding a bad frame get coefficients, frames are
+    # evaluated one by one, and pixels in blocks of columns (here 8 columns
+    # over 5 x 7 pixels: four whole blocks and a ragged one of 3): the same
+    # operations, so the same bits
+    monkeypatch.setattr(spline_mod, "_BLOCK_BYTES", 8 * 300 * 8)
     mask = mask_for(seed=9, fraction=fraction)
     good = mask.good.copy()
     good[[0, 1, -1]] = False
     mask = FrameQualityMask(good, mask.applied_snr_db)
     rng = np.random.default_rng(2)
-    stack = StrainStack(rng.standard_normal((300, 5, 6)), 0.5, "incremental")
+    stack = StrainStack(rng.standard_normal((300, 5, 7)), 0.5, "incremental")
     out = reconstruct_stack(stack, mask)
     assert np.array_equal(out.frames, all_interval_reconstruction(stack, mask))
+
+
+def test_reconstruction_memory_does_not_grow_with_pixels(monkeypatch):
+    # what reconstruct_stack allocates beyond its output is one block's
+    # temporaries, the same for 1024 and 4096 pixels (4 and 16 blocks)
+    n = 60
+    monkeypatch.setattr(spline_mod, "_BLOCK_BYTES", 8 * n * 256)
+    mask = mask_for(seed=9, fraction=0.75, n=n)
+    beyond = []
+    for side in (32, 64):
+        stack = StrainStack(np.random.default_rng(side).standard_normal((n, side, side)),
+                            0.5, "incremental")
+        tracemalloc.start()
+        try:
+            out = reconstruct_stack(stack, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond.append(peak - out.frames.nbytes)
+    small, large = beyond
+    assert large <= 1.05 * small + 65536, f"{small} B at 1024 pixels, {large} B at 4096"
 
 
 def test_insufficient_good_frames_propagates():

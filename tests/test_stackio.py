@@ -107,6 +107,26 @@ def test_stack_malformed_header_is_input_error(tmp_path, raw, message):
         stackio.read_stack(path)
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(*[st.integers(0, 3)] * 3),
+       kind=st.sampled_from(["incremental", "cumulative"]), sample_time_s=st.floats(1e-6, 1e6))
+def test_written_stack_is_never_refused_on_read(tmp_path, shape, kind, sample_time_s):
+    stack = StrainStack(np.arange(float(np.prod(shape))).reshape(shape), sample_time_s, kind)
+    path = tmp_path / "w.stack"
+    path.unlink(missing_ok=True)
+    if 0 in shape:
+        n, h, w = shape
+        with pytest.raises(ValueError, match=f"empty stack \\({n} frames of {h} x {w}\\)"):
+            stackio.write_stack(path, stack)
+        assert not path.exists()
+        return
+    stackio.write_stack(path, stack)
+    back = stackio.read_stack(path)
+    assert np.array_equal(back.frames, stack.frames)
+    assert (back.sample_time_s, back.kind) == (sample_time_s, kind)
+
+
 def test_mask_round_trip(tmp_path):
     good = np.array([True, False, True, True, False])
     mask = FrameQualityMask(good, np.where(good, 37.5, 0.0))
