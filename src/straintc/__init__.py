@@ -8,8 +8,7 @@ Levenberg-Marquardt, and score the resulting time-constant images with
 percent relative error over a Monte-Carlo comparison grid.
 
 This module declares the public surface: the stage entry points and the
-specs they take.  Result types and the single-curve reference helpers
-import from their modules.
+specs they take.  Result types import from their modules.
 """
 
 from .degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_frames

@@ -117,13 +117,6 @@ def exp_model(t, eta, gamma, tau):
     return eta + gamma * np.exp(-np.asarray(t, dtype=np.float64) / tau)
 
 
-def jacobian(t, eta, gamma, tau):
-    """Analytic (n, 3) Jacobian of exp_model in (eta, gamma, tau) order."""
-    t = np.asarray(t, dtype=np.float64)
-    decay = np.exp(-t / tau)
-    return np.stack([np.ones_like(t), decay, gamma * t / tau ** 2 * decay], axis=1)
-
-
 def initial_guess(times, values):
     """Starting points (eta0, gamma0, tau0), one per row of the (P, n) values,
     for the LM iteration.
@@ -327,13 +320,13 @@ def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(),
     n, height, width = stack.frames.shape
     if n < MIN_FRAMES:
         raise ValueError(f"need at least {MIN_FRAMES} frames, got {n}")
-    times = frame_times(n, stack.sample_time_s)
-    values = stack.frames.reshape(n, height * width).T
-    _, _, tau, _, _, conv = _lm_engine(times, values, config)
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64)
         if truth.shape != (height, width):
             raise ValueError(f"truth map shape {truth.shape} does not match {(height, width)}")
+    times = frame_times(n, stack.sample_time_s)
+    values = stack.frames.reshape(n, height * width).T
+    _, _, tau, _, _, conv = _lm_engine(times, values, config)
     return TCImage(tau.reshape(height, width), conv.reshape(height, width), truth)
 
 

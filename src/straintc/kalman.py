@@ -73,14 +73,6 @@ def _smoother_matrix(n, ratio, window_len):
     return K
 
 
-def kalman_denoise_series(series, spec: KalmanSpec = KalmanSpec()) -> np.ndarray:
-    """Denoise time series; series is (n,) or (n_pixels, n) along the last axis."""
-    z = np.asarray(series, dtype=np.float64)
-    if z.shape[-1] < 1:
-        raise ValueError("series must be non-empty")
-    return z @ _smoother_matrix(z.shape[-1], spec.process_ratio, spec.window_len).T
-
-
 def kalman_denoise(stack: StrainStack, spec: KalmanSpec = KalmanSpec()) -> StrainStack:
     """Apply the fixed-lag smoother to every pixel of an incremental stack."""
     n = stack.n_frames

@@ -150,6 +150,8 @@ class StrainStack:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 3:
             raise ValueError(f"frames must be N x H x W, got shape {self.frames.shape}")
+        if 0 in self.frames.shape:
+            raise ValueError("empty stack ({} frames of {} x {})".format(*self.frames.shape))
         if self.kind not in ("incremental", "cumulative"):
             raise ValueError(f"kind must be 'incremental' or 'cumulative', got {self.kind!r}")
         if not self.sample_time_s > 0:
@@ -160,10 +162,6 @@ class StrainStack:
     @property
     def n_frames(self):
         return self.frames.shape[0]
-
-    @property
-    def shape(self):
-        return self.frames.shape
 
 
 def frame_times(n_frames, sample_time_s) -> np.ndarray:

@@ -14,8 +14,6 @@ Interval m of the spline is stored in the local form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .degrade import FrameQualityMask
@@ -30,7 +28,7 @@ _BLOCK_BYTES = 5 << 19
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
-    """Thomas solve of a tridiagonal system; rhs may be (n,) or (n, k).
+    """Thomas solve of a tridiagonal system for the (n, k) right-hand sides.
 
     lower[i] multiplies x[i-1] in row i (lower[0] unused); upper[i]
     multiplies x[i+1] in row i (upper[-1] unused).  No pivoting: callers
@@ -52,11 +50,10 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
 
 
 def _natural_second_derivatives(knots, values):
-    """Knot second derivatives M of the natural spline; values (n,) or (n, k)."""
-    n = knots.shape[0]
+    """Knot second derivatives M of the natural spline; values is (n, k)."""
     h = np.diff(knots)
     M = np.zeros_like(values, dtype=np.float64)
-    slopes = np.diff(values, axis=0) / (h[:, None] if values.ndim == 2 else h)
+    slopes = np.diff(values, axis=0) / h[:, None]
     rhs = 6.0 * (slopes[1:] - slopes[:-1])
     # interior equations: h[i-1] M[i-1] + 2(h[i-1]+h[i]) M[i] + h[i] M[i+1]
     lower = np.concatenate(([0.0], h[1:-1]))
@@ -70,75 +67,12 @@ def _interval_coefficients(knots, values, M, intervals):
     """(a, b, c, d) of the listed intervals, one row each, from values and
     knot second derivatives."""
     lo, hi = intervals, intervals + 1
-    h = knots[hi] - knots[lo]
-    hc = h[:, None] if values.ndim == 2 else h
-    a = (M[hi] - M[lo]) / (6.0 * hc)
+    h = (knots[hi] - knots[lo])[:, None]
+    a = (M[hi] - M[lo]) / (6.0 * h)
     b = M[lo] / 2.0
-    c = (values[hi] - values[lo]) / hc - hc * (2.0 * M[lo] + M[hi]) / 6.0
+    c = (values[hi] - values[lo]) / h - h * (2.0 * M[lo] + M[hi]) / 6.0
     d = values[lo]
     return a, b, c, d
-
-
-@dataclass
-class CubicSpline:
-    """Natural cubic spline through (knots_t, values).
-
-    coeffs has shape (n_intervals, 4) holding (a, b, c, d) of the local cubic
-    on each interval.
-    """
-
-    knots_t: np.ndarray
-    values: np.ndarray
-    coeffs: np.ndarray
-
-    @property
-    def n_knots(self):
-        return self.knots_t.size
-
-
-def build_natural_spline(knots_t, values) -> CubicSpline:
-    """Build the unique natural cubic spline through the given points.
-
-    Requires at least 4 strictly increasing knots; with fewer points a cubic
-    spline degenerates to a lower-order polynomial and the caller should not
-    be using this reconstruction at all.
-    """
-    knots_t = np.asarray(knots_t, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if knots_t.ndim != 1 or values.shape != knots_t.shape:
-        raise ValueError("knots_t and values must be matching 1-D vectors")
-    if knots_t.size < MIN_KNOTS:
-        raise ValueError(f"insufficient knots: need >= {MIN_KNOTS}, got {knots_t.size}")
-    if not np.all(np.diff(knots_t) > 0):
-        raise ValueError("non-monotonic knots: times must be strictly increasing")
-    if not (np.all(np.isfinite(knots_t)) and np.all(np.isfinite(values))):
-        raise ValueError("knots and values must be finite")
-    M = _natural_second_derivatives(knots_t, values)
-    a, b, c, d = _interval_coefficients(knots_t, values, M, np.arange(knots_t.size - 1))
-    return CubicSpline(knots_t, values, np.stack([a, b, c, d], axis=1))
-
-
-def eval_spline(spline: CubicSpline, t) -> np.ndarray:
-    """Evaluate the spline at scalar or array t.
-
-    Exact knot times return the stored knot values.  Times outside the knot
-    range are evaluated with the boundary interval's cubic (clamped
-    extrapolation), the mildest extension a natural spline offers.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    scalar = t.ndim == 0
-    tq = np.atleast_1d(t)
-    idx = np.clip(np.searchsorted(spline.knots_t, tq, side="right") - 1,
-                  0, spline.n_knots - 2)
-    dt = tq - spline.knots_t[idx]
-    a, b, c, d = spline.coeffs[idx].T
-    out = ((a * dt + b) * dt + c) * dt + d
-    # the last knot falls into the last interval with dt = h; return the
-    # stored ordinate instead so knot interpolation is exact at every knot
-    at_end = tq == spline.knots_t[-1]
-    if at_end.any():
-        out[at_end] = spline.values[-1]
-    return out[0] if scalar else out
 
 
 def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack:

@@ -38,11 +38,7 @@ class InputError(ValueError):
 
 
 def write_stack(path, stack: StrainStack) -> None:
-    """Write a stack file; a stack with no frames or with empty frames is
-    refused with ValueError, since read_stack would reject the file."""
     n, h, w = stack.frames.shape
-    if 0 in (n, h, w):
-        raise ValueError(f"cannot write an empty stack ({n} frames of {h} x {w})")
     header = MAGIC + _HEADER.pack(VERSION, n, h, w, stack.sample_time_s,
                                   _KIND_FLAGS[stack.kind])
     payload = np.ascontiguousarray(stack.frames, dtype="<f8")
@@ -64,6 +60,8 @@ def read_stack(path) -> StrainStack:
             raise InputError(f"{path}: unsupported stack format version {version}")
         if kind_flag not in _FLAG_KINDS:
             raise InputError(f"{path}: unknown stack kind flag {kind_flag}")
+        # StrainStack refuses empty stacks too, but only after the frames
+        # are allocated, and numpy refuses to allocate 0 x 2^32 x 2^32
         if 0 in (n, h, w):
             raise InputError(f"{path}: empty stack ({n} frames of {h} x {w})")
         # compare sizes before reading: a corrupt header can claim more

@@ -21,12 +21,13 @@ import pytest
 
 from straintc.cli import main as cli_main
 from straintc.evaluate import run_grid
-from straintc.fit import exp_model, fit_stack, jacobian
-from straintc.kalman import KalmanSpec, kalman_denoise_series
-from straintc.phantom import preset, synth_cumulative, tau_map
-from straintc.spline import build_natural_spline, eval_spline
+from straintc.fit import fit_stack
+from straintc.kalman import KalmanSpec
+from straintc.phantom import frame_times, preset, synth_cumulative, tau_map
 
-from test_spline import dense_oracle_coeffs
+from test_fit import normal_equations_deviation
+from test_kalman import denoise
+from test_spline import oracle_deviation, reconstruct_curve
 
 GRID_SEED = 0
 GRID_TRIALS = 10
@@ -70,46 +71,38 @@ def test_criterion_1_exact_recovery_round_trip():
 
 
 def test_criterion_2_spline_oracle_equivalence():
+    # reconstruct_stack on one (n_frames, 1, 1) stack per instance: its bad
+    # frames against the dense oracle's spline through the good frames
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(200):
-        n = int(rng.integers(4, 51))
-        knots = np.cumsum(0.1 + rng.random(n))
-        values = rng.standard_normal(n)
-        sp = build_natural_spline(knots, values)
-        ref = dense_oracle_coeffs(knots, values)
-        scale = max(1.0, np.abs(ref).max())
-        worst = max(worst, np.abs(sp.coeffs - ref).max() / scale)
-        assert np.array_equal(eval_spline(sp, knots), values)  # exact at knots
-    t = np.array([0.0, 1.0, 2.0, 3.0])
-    sp = build_natural_spline(t, 2 * t + 1)
-    linear_ok = np.allclose(eval_spline(sp, np.linspace(0, 3, 50)),
-                            2 * np.linspace(0, 3, 50) + 1, atol=1e-12)
-    report("2 (spline vs dense oracle, 200 instances)",
+        deviation, knots_exact = oracle_deviation(rng, int(rng.integers(4, 51)))
+        worst = max(worst, deviation)
+        assert knots_exact  # good frames pass through bit-exactly
+    knot_frames = np.array([5, 15, 30, 40])
+    line = 2 * frame_times(50, 0.1) + 1
+    _, out = reconstruct_curve(knot_frames, line[knot_frames], 50)
+    linear_ok = np.allclose(out, line, atol=1e-12)
+    report("2 (spline reconstruction vs dense oracle, 200 instances)",
            worst < 1e-10 and linear_ok,
-           f"worst scaled coefficient deviation {worst:.2e}")
+           f"worst scaled deviation {worst:.2e}")
 
 
 def test_criterion_3_jacobian_correctness():
+    # the LM engine's normal equations J^T J and J^T r against those of a
+    # central-difference Jacobian of exp_model
     rng = np.random.default_rng(3)
     t = np.arange(1, 301) * 0.5
-    worst = 0.0
+    worst_jtj = worst_jtr = 0.0
     for _ in range(100):
         eta = rng.uniform(-0.05, 0.05)
         gamma = rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.05)
         tau = rng.uniform(0.5, 50.0)
-        J = jacobian(t, eta, gamma, tau)
-        theta = np.array([eta, gamma, tau])
-        for col in range(3):
-            h = 1e-6 * max(abs(theta[col]), 1.0)
-            tp, tm = theta.copy(), theta.copy()
-            tp[col] += h
-            tm[col] -= h
-            fd = (exp_model(t, *tp) - exp_model(t, *tm)) / (2 * h)
-            scale = max(np.abs(J[:, col]).max(), 1e-12)
-            worst = max(worst, np.abs(J[:, col] - fd).max() / scale)
-    report("3 (analytic Jacobian vs central differences, 100 points)",
-           worst < 1e-5, f"worst column-scaled deviation {worst:.2e}")
+        jtj_dev, jtr_dev = normal_equations_deviation(t, np.array([eta, gamma, tau]))
+        worst_jtj, worst_jtr = max(worst_jtj, jtj_dev), max(worst_jtr, jtr_dev)
+    report("3 (normal equations vs central differences, 100 points)",
+           max(worst_jtj, worst_jtr) < 1e-5,
+           f"worst scaled deviation J^T J {worst_jtj:.2e}, J^T r {worst_jtr:.2e}")
 
 
 def test_criterion_4a_spline_below_noisy_everywhere(grid):
@@ -185,18 +178,19 @@ def test_criterion_6_monotone_in_good_fraction(grid):
 
 
 def test_criterion_7_kalman_baseline_sanity():
+    # kalman_denoise on stacks whose pixels are the series
     spec = KalmanSpec(process_ratio=1e-3)
-    const = kalman_denoise_series(np.full(300, 0.02), spec)
+    const = denoise(np.full(300, 0.02), spec)
     const_ok = abs(const[-1] - 0.02) < 1e-6
 
     rng = np.random.default_rng(7)
     noise = rng.standard_normal((10_000, 60))
-    var_ok = kalman_denoise_series(noise).var() < noise.var()
+    var_ok = denoise(noise).var() < noise.var()
 
     lin_spec = KalmanSpec(process_ratio=1e-2)
     x, y = rng.standard_normal((2, 150))
-    combined = kalman_denoise_series(2.5 * x - 1.25 * y, lin_spec)
-    parts = 2.5 * kalman_denoise_series(x, lin_spec) - 1.25 * kalman_denoise_series(y, lin_spec)
+    combined = denoise(2.5 * x - 1.25 * y, lin_spec)
+    parts = 2.5 * denoise(x, lin_spec) - 1.25 * denoise(y, lin_spec)
     lin_dev = np.abs(combined - parts).max() / max(np.abs(parts).max(), 1e-12)
     lin_ok = lin_dev < 1e-9
 

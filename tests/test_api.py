@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -18,7 +19,8 @@ PUBLIC_NAMES = {
     "compute_pre", "run_grid", "format_grid_table", "detect_bad_frames",
 }
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+REPO = Path(__file__).resolve().parents[1]
+SPANS_PATH = REPO / "perfbench" / "spans.py"
 TRACED_MODULES = ("phantom", "degrade", "spline", "kalman", "fit", "evaluate",
                   "stackio", "cli")
 
@@ -31,6 +33,22 @@ def test_public_names_are_pinned():
     for info in pkgutil.iter_modules(straintc.__path__):
         module = importlib.import_module(f"straintc.{info.name}")
         assert not hasattr(module, "__all__"), info.name
+
+
+def test_no_test_only_code_in_src():
+    # every top-level function and class of the package is public or used by
+    # the program or the benchmark: a second copy of a stage that only the
+    # tests call would be checked in place of the code that runs
+    program = sorted((REPO / "src" / "straintc").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in program + sorted((REPO / "perfbench").glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{path.name}:{node.name}" for path in program for node in trees[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in straintc.__all__ and node.name not in used]
+    assert not unused, f"defined in src but used only by tests, if at all: {unused}"
 
 
 def test_benchmark_trace_wrappers_install_and_restore(monkeypatch):

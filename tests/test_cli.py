@@ -208,7 +208,7 @@ def test_input_fault_is_input_error(tmp_path, capsys, args, message):
     stackio.write_stack(dirs["frames_1x4x4"],
                         phantom.StrainStack(np.zeros((1, 4, 4)), 0.5, "incremental"))
     for shape in ("0x4x4", "20x0x4", "20x4x0"):
-        # write_stack refuses empty stacks, so their files are written by hand
+        # StrainStack refuses empty stacks, so their files are written by hand
         dirs[f"frames_{shape}"] = path = tmp_path / f"{shape}.stack"
         sizes = tuple(int(size) for size in shape.split("x"))
         path.write_bytes(stackio.MAGIC + struct.pack("<IIIIdB", stackio.VERSION, *sizes, 0.5, 0))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from straintc import fit as fit_mod
 from straintc.degrade import NoiseSpec, add_noise, place_bad_frames
 from straintc.fit import (LMConfig, cumulate, exp_model, fit_exponential,
-                          fit_stack, initial_guess, jacobian)
+                          fit_stack, initial_guess)
 from straintc.phantom import (StrainStack, frame_times, param_maps, preset,
                               synth_cumulative, synth_incremental, tau_map)
 from straintc.spline import reconstruct_stack
@@ -35,23 +35,40 @@ def test_degenerate_constant_curve():
     assert f.iterations == 0
 
 
+def normal_equations_deviation(t, theta):
+    """Worst scaled deviations of the engine's J^T J and J^T r at theta from
+    those of a central-difference Jacobian of exp_model.
+
+    The data are the model plus 0.01 sin(t), so the residual is never zero.
+    Entry (i, j) of J^T J is scaled by |J_i| |J_j| and entry i of J^T r by
+    |J_i| |r|, the Cauchy-Schwarz bounds of each entry.
+    """
+    r = 0.01 * np.sin(t)
+    y = exp_model(t, *theta) + r
+    eta, gamma, tau = (np.array([v]) for v in theta)
+    E, resid, _ = fit_mod._trial(t, y[None, :], eta, gamma, tau)
+    jtj, jtr = fit_mod._normal_equations(t, E, resid, gamma, tau)
+    J = np.empty((t.size, 3))
+    for col in range(3):
+        h = 1e-6 * max(abs(theta[col]), 1.0)
+        tp, tm = theta.copy(), theta.copy()
+        tp[col] += h
+        tm[col] -= h
+        J[:, col] = (exp_model(t, *tp) - exp_model(t, *tm)) / (2 * h)
+    norms = np.linalg.norm(J, axis=0)
+    jtj_dev = np.abs(jtj[0] - J.T @ J) / np.outer(norms, norms)
+    jtr_dev = np.abs(jtr[0] - J.T @ r) / (norms * np.linalg.norm(r))
+    return jtj_dev.max(), jtr_dev.max()
+
+
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(11)
-    t = TIMES
     for _ in range(20):
         eta = rng.uniform(-0.05, 0.05)
         gamma = rng.choice([-1, 1]) * rng.uniform(0.001, 0.05)
         tau = rng.uniform(0.5, 50.0)
-        J = jacobian(t, eta, gamma, tau)
-        theta = np.array([eta, gamma, tau])
-        for col in range(3):
-            h = 1e-6 * max(abs(theta[col]), 1.0)
-            tp, tm = theta.copy(), theta.copy()
-            tp[col] += h
-            tm[col] -= h
-            fd = (exp_model(t, *tp) - exp_model(t, *tm)) / (2 * h)
-            scale = max(np.abs(J[:, col]).max(), 1e-12)
-            assert np.abs(J[:, col] - fd).max() <= 1e-5 * scale
+        jtj_dev, jtr_dev = normal_equations_deviation(TIMES, np.array([eta, gamma, tau]))
+        assert jtj_dev <= 1e-5 and jtr_dev <= 1e-5
 
 
 def test_initial_guess_on_clean_curve():
@@ -120,8 +137,11 @@ def test_validation_errors():
 
 
 def lm_step(t, y, params, lam, bounds):
-    """One Marquardt-damped step from params, written with the dense Jacobian."""
-    J = jacobian(t, *params)
+    """One Marquardt-damped step from params, written with the dense analytic
+    (n, 3) Jacobian of exp_model in (eta, gamma, tau) order."""
+    eta, gamma, tau = params
+    decay = np.exp(-t / tau)
+    J = np.stack([np.ones_like(t), decay, gamma * t / tau ** 2 * decay], axis=1)
     jtj = J.T @ J
     d = np.diag(jtj)
     step = np.linalg.solve(jtj + lam * np.diag(np.maximum(d, 1e-12 * d.max())),
@@ -181,6 +201,16 @@ def test_fit_stack_clean_round_trip():
     assert tc.converged_mask.all()
     rel = np.abs(tc.tau_map - tc.truth_map) / tc.truth_map
     assert rel.max() < 1e-6
+
+
+def test_fit_stack_checks_truth_before_fitting(monkeypatch):
+    # a truth map of the wrong shape must not cost a whole fit first
+    def unreachable(*args):
+        raise AssertionError("fitted before the truth map was checked")
+    monkeypatch.setattr(fit_mod, "_lm_engine", unreachable)
+    stack = StrainStack(np.zeros((50, 4, 4)), 0.5, "cumulative")
+    with pytest.raises(ValueError, match="truth map shape"):
+        fit_stack(stack, truth=np.ones((4, 5)))
 
 
 def test_fit_stack_all_zero_no_convergence():

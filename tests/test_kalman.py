@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from straintc.kalman import KalmanSpec, kalman_denoise, kalman_denoise_series
+from straintc.kalman import KalmanSpec, kalman_denoise
 from straintc.phantom import StrainStack
+
+
+def denoise(series, spec=KalmanSpec()):
+    """kalman_denoise on series along the last axis: an (n,) series or
+    (n_pixels, n) rows, run as one (n, 1, n_pixels) stack."""
+    z = np.asarray(series, dtype=np.float64)
+    rows = z.reshape(-1, z.shape[-1])
+    stack = StrainStack(rows.T[:, None, :], 0.5, "incremental")
+    return kalman_denoise(stack, spec).frames[:, 0, :].T.reshape(z.shape)
 
 
 def reference_filter(z, q, r):
@@ -39,7 +48,7 @@ def reference_smoother(z, q, r, window_len):
 
 def test_constant_signal_convergence():
     z = np.full(300, 0.02)
-    out = kalman_denoise_series(z, KalmanSpec(process_ratio=1e-3))
+    out = denoise(z, KalmanSpec(process_ratio=1e-3))
     err = np.abs(out - 0.02)
     assert np.all(np.diff(err) <= 1e-15)  # error never grows
     assert err[-1] < 1e-6
@@ -48,7 +57,7 @@ def test_constant_signal_convergence():
 def test_large_process_noise_trusts_measurements():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(200)
-    out = kalman_denoise_series(z, KalmanSpec(process_ratio=1e8))
+    out = denoise(z, KalmanSpec(process_ratio=1e8))
     assert np.allclose(out, z, rtol=0, atol=1e-6)
 
 
@@ -57,7 +66,7 @@ def test_variance_reduction_on_white_noise():
     # zero-mean white noise
     rng = np.random.default_rng(1)
     z = rng.standard_normal((10_000, 60))
-    out = kalman_denoise_series(z)
+    out = denoise(z)
     assert out.var() < z.var()
     assert out.var() < 0.9 * z.var()
 
@@ -68,22 +77,22 @@ def test_linearity_with_explicit_variances():
     x = rng.standard_normal(120)
     y = rng.standard_normal(120)
     a, b = 1.7, -0.4
-    combined = kalman_denoise_series(a * x + b * y, spec)
-    parts = a * kalman_denoise_series(x, spec) + b * kalman_denoise_series(y, spec)
+    combined = denoise(a * x + b * y, spec)
+    parts = a * denoise(x, spec) + b * denoise(y, spec)
     assert np.allclose(combined, parts, rtol=1e-9, atol=1e-12)
 
 
 def test_output_finite():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((50, 80)) * 1e-4
-    out = kalman_denoise_series(z)
+    out = denoise(z)
     assert np.all(np.isfinite(out))
 
 
 def test_window_one_is_causal_filter():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((7, 90))
-    out = kalman_denoise_series(z, KalmanSpec(window_len=1, process_ratio=0.01 / 0.5))
+    out = denoise(z, KalmanSpec(window_len=1, process_ratio=0.01 / 0.5))
     for row, series in zip(out, z):
         xf, _, _ = reference_filter(series, 0.01, 0.5)
         np.testing.assert_allclose(row, xf, rtol=1e-12, atol=0)
@@ -95,7 +104,7 @@ def test_window_one_is_causal_filter():
 def test_matches_scalar_reference_smoother(window_len, q, r):
     rng = np.random.default_rng(8)
     z = rng.standard_normal((5, 90)) * np.sqrt(r)
-    out = kalman_denoise_series(z, KalmanSpec(window_len=window_len, process_ratio=0.01))
+    out = denoise(z, KalmanSpec(window_len=window_len, process_ratio=0.01))
     for row, series in zip(out, z):
         np.testing.assert_allclose(row, reference_smoother(series, q, r, window_len),
                                    rtol=1e-12, atol=0)
@@ -107,11 +116,11 @@ def test_window_limits_lookahead():
     rng = np.random.default_rng(5)
     z = rng.standard_normal(100)
     spec = KalmanSpec(window_len=13, process_ratio=0.1)
-    base = kalman_denoise_series(z, spec)
+    base = denoise(z, spec)
     z2 = z.copy()
     k = 40
     z2[k + 13:] += 5.0
-    out = kalman_denoise_series(z2, spec)
+    out = denoise(z2, spec)
     assert np.array_equal(out[:k + 1], base[:k + 1])
     assert not np.allclose(out[k + 1:], base[k + 1:])
 
@@ -121,7 +130,7 @@ def test_longer_window_smooths_more():
     z = rng.standard_normal((2000, 80))
     spec1 = KalmanSpec(window_len=1, process_ratio=0.05)
     spec13 = KalmanSpec(window_len=13, process_ratio=0.05)
-    assert kalman_denoise_series(z, spec13).var() < kalman_denoise_series(z, spec1).var()
+    assert denoise(z, spec13).var() < denoise(z, spec1).var()
 
 
 def test_stack_wrapper_preserves_shape_and_time():
@@ -132,7 +141,7 @@ def test_stack_wrapper_preserves_shape_and_time():
     assert out.sample_time_s == 0.25
     assert out.kind == "incremental"
     # per-pixel operation: one pixel's series run alone matches the stack run
-    series = kalman_denoise_series(stack.frames[:, 2, 1])
+    series = denoise(stack.frames[:, 2, 1])
     assert np.allclose(out.frames[:, 2, 1], series, rtol=1e-12, atol=0)
 
 
@@ -145,10 +154,12 @@ def test_spec_validation():
 
 
 def test_empty_series_is_rejected():
-    with pytest.raises(ValueError, match="non-empty"):
-        kalman_denoise_series(np.empty(0))
+    # a stack without frames or pixels never reaches the smoother
+    for shape in ((0, 4, 4), (5, 0, 4), (5, 4, 0)):
+        with pytest.raises(ValueError, match=r"empty stack \(\d+ frames of \d+ x \d+\)"):
+            kalman_denoise(StrainStack(np.empty(shape), 0.5, "incremental"))
 
 
 def test_constant_input_default_spec():
-    out = kalman_denoise_series(np.full(50, 3.3))
+    out = denoise(np.full(50, 3.3))
     assert np.allclose(out, 3.3, rtol=0, atol=1e-12)

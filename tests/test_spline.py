@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from straintc import spline as spline_mod
 from straintc.degrade import FrameQualityMask, NoiseSpec, place_bad_frames
 from straintc.phantom import StrainStack, frame_times, preset, synth_incremental
-from straintc.spline import build_natural_spline, eval_spline, reconstruct_stack
+from straintc.spline import reconstruct_stack
 
 
 def dense_oracle_coeffs(knots, values):
@@ -41,115 +41,138 @@ def dense_oracle_coeffs(knots, values):
     return np.linalg.solve(A, rhs).reshape(m, 4)
 
 
+def oracle_values(knots, values, t):
+    """The dense oracle's spline through (knots, values) at times t, past the
+    end knots by the boundary interval's cubic; and max(1, largest
+    |coefficient|), the scale its deviations are measured in."""
+    coeffs = dense_oracle_coeffs(knots, values)
+    idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    dt = t - knots[idx]
+    a, b, c, d = coeffs[idx].T
+    return ((a * dt + b) * dt + c) * dt + d, max(1.0, np.abs(coeffs).max())
+
+
+def reconstruct_curve(knot_frames, values, n_frames, sample_time_s=0.1):
+    """Frame times and reconstruct_stack's output curve for an
+    (n_frames, 1, 1) stack whose good frames are knot_frames, holding the
+    values.  The bad frames hold 1e3 on input, so that none of them can pass
+    through unnoticed."""
+    frames = np.full((n_frames, 1, 1), 1e3)
+    frames[knot_frames, 0, 0] = values
+    good = np.zeros(n_frames, bool)
+    good[knot_frames] = True
+    mask = FrameQualityMask(good, np.where(good, 30.0, 0.0))
+    out = reconstruct_stack(StrainStack(frames, sample_time_s, "incremental"), mask)
+    return frame_times(n_frames, sample_time_s), out.frames[:, 0, 0]
+
+
 def random_instance(rng, n):
-    knots = np.cumsum(0.1 + rng.random(n))
-    values = rng.standard_normal(n)
-    return knots, values
+    """Knot frames, frame count and standard normal values of n knots 2 to 11
+    frames (0.2 to 1.1 s) apart, so that every interval holds a bad frame;
+    one bad frame precedes the first knot and one follows the last."""
+    knot_frames = np.cumsum(rng.integers(2, 12, size=n)) - 1
+    return knot_frames, int(knot_frames[-1]) + 2, rng.standard_normal(n)
+
+
+def oracle_deviation(rng, n):
+    """Worst scaled deviation of reconstruct_stack from the dense oracle on
+    the bad frames of one random instance, and whether its good frames came
+    through bit-exactly."""
+    knot_frames, n_frames, values = random_instance(rng, n)
+    t, out = reconstruct_curve(knot_frames, values, n_frames)
+    expect, scale = oracle_values(t[knot_frames], values, t)
+    bad = np.setdiff1d(np.arange(n_frames), knot_frames)
+    return (np.abs(out[bad] - expect[bad]).max() / scale,
+            np.array_equal(out[knot_frames], values))
+
+
+def cubic(t, curve, lo, hi):
+    """The cubic through the reconstructed frames lo..hi of curve, recovered
+    by a least-squares fit."""
+    return np.polynomial.Polynomial.fit(t[lo:hi + 1], curve[lo:hi + 1], 3)
 
 
 def test_matches_dense_oracle():
     rng = np.random.default_rng(1234)
     for _ in range(40):
-        n = int(rng.integers(4, 51))
-        knots, values = random_instance(rng, n)
-        sp = build_natural_spline(knots, values)
-        ref = dense_oracle_coeffs(knots, values)
-        scale = max(1.0, np.abs(ref).max())
-        assert np.allclose(sp.coeffs, ref, rtol=1e-10, atol=1e-10 * scale)
+        deviation, knots_exact = oracle_deviation(rng, int(rng.integers(4, 51)))
+        assert deviation < 1e-10 and knots_exact
 
 
 def test_linear_data_reproduced_exactly():
-    t = np.array([0.0, 1.0, 2.0, 3.0])
-    sp = build_natural_spline(t, 2 * t + 1)
-    assert eval_spline(sp, 1.5) == pytest.approx(4.0, abs=1e-13)
-    dense = np.linspace(-1.0, 4.0, 101)  # extrapolation continues the line
-    assert np.allclose(eval_spline(sp, dense), 2 * dense + 1, atol=1e-12)
+    # four knots; the frames between them and past both ends continue the line
+    knot_frames = np.array([5, 15, 30, 40])
+    t = frame_times(50, 0.1)
+    _, out = reconstruct_curve(knot_frames, 2 * t[knot_frames] + 1, 50)
+    assert out[22] == pytest.approx(2 * t[22] + 1, abs=1e-13)
+    assert np.allclose(out, 2 * t + 1, atol=1e-12)
 
 
 def test_knot_interpolation_exact():
     rng = np.random.default_rng(5)
-    knots, values = random_instance(rng, 17)
-    sp = build_natural_spline(knots, values)
-    out = eval_spline(sp, knots)
-    assert np.array_equal(out, values)  # bit-exact at every knot
-
-
-def test_eval_at_knot_returns_d_coefficient():
-    rng = np.random.default_rng(6)
-    knots, values = random_instance(rng, 8)
-    sp = build_natural_spline(knots, values)
-    for m in range(sp.n_knots - 1):
-        assert eval_spline(sp, knots[m]) == sp.coeffs[m, 3]
+    knot_frames, n_frames, values = random_instance(rng, 17)
+    _, out = reconstruct_curve(knot_frames, values, n_frames)
+    assert np.array_equal(out[knot_frames], values)  # bit-exact at every knot
 
 
 def test_continuity_at_interior_knots():
+    # knots 5 to 11 frames apart, so that each interval's cubic is recovered
+    # from its two knots and at least four reconstructed frames; value, slope
+    # and curvature agree on both sides of every interior knot
     rng = np.random.default_rng(7)
-    knots, values = random_instance(rng, 30)
-    sp = build_natural_spline(knots, values)
-    h = np.diff(knots)
-    a, b, c, d = sp.coeffs.T
-    for m in range(1, len(knots) - 1):
-        hm = h[m - 1]
-        left = ((a[m - 1] * hm + b[m - 1]) * hm + c[m - 1]) * hm + d[m - 1]
-        right = d[m]
-        assert left == pytest.approx(right, rel=1e-9)
-        dleft = (3 * a[m - 1] * hm + 2 * b[m - 1]) * hm + c[m - 1]
-        assert dleft == pytest.approx(c[m], rel=1e-9, abs=1e-12)
-        ddleft = 6 * a[m - 1] * hm + 2 * b[m - 1]
-        assert ddleft == pytest.approx(2 * b[m], rel=1e-9, abs=1e-12)
+    knot_frames = np.cumsum(rng.integers(5, 12, size=30))
+    t, out = reconstruct_curve(knot_frames, rng.standard_normal(30), knot_frames[-1] + 1)
+    for lo, m, hi in zip(knot_frames, knot_frames[1:], knot_frames[2:]):
+        left, right = cubic(t, out, lo, m), cubic(t, out, m, hi)
+        for k in range(3):
+            assert left.deriv(k)(t[m]) == pytest.approx(right.deriv(k)(t[m]), rel=1e-9, abs=1e-9)
 
 
 def test_natural_boundary_conditions():
+    # the first cubic also runs through the frames before the first knot and
+    # the last one through those after the last knot; the curvature of both
+    # vanishes at the end knots
     rng = np.random.default_rng(8)
-    knots, values = random_instance(rng, 12)
-    sp = build_natural_spline(knots, values)
-    assert sp.coeffs[0, 1] == 0.0  # S''(first) = 2*b_0
-    h_last = knots[-1] - knots[-2]
-    dd_end = 6 * sp.coeffs[-1, 0] * h_last + 2 * sp.coeffs[-1, 1]
-    assert abs(dd_end) < 1e-12 * max(1.0, np.abs(sp.coeffs).max())
+    knot_frames = np.cumsum(rng.integers(5, 12, size=12))
+    n_frames = knot_frames[-1] + 6
+    t, out = reconstruct_curve(knot_frames, rng.standard_normal(12), n_frames)
+    first, last = cubic(t, out, 0, knot_frames[1]), cubic(t, out, knot_frames[-2], n_frames - 1)
+    curvatures = [cubic(t, out, lo, hi).deriv(2)(t[lo])
+                  for lo, hi in zip(knot_frames, knot_frames[1:])]
+    scale = max(1.0, np.abs(curvatures).max())
+    assert abs(first.deriv(2)(t[knot_frames[0]])) < 1e-9 * scale
+    assert abs(last.deriv(2)(t[knot_frames[-1]])) < 1e-9 * scale
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 24), st.integers(0, 2 ** 31 - 1))
 def test_interpolation_and_oracle_property(n, seed):
-    rng = np.random.default_rng(seed)
-    knots, values = random_instance(rng, n)
-    sp = build_natural_spline(knots, values)
-    assert np.array_equal(eval_spline(sp, knots), values)
-    ref = dense_oracle_coeffs(knots, values)
-    scale = max(1.0, np.abs(ref).max())
-    assert np.allclose(sp.coeffs, ref, rtol=1e-10, atol=1e-10 * scale)
+    deviation, knots_exact = oracle_deviation(np.random.default_rng(seed), n)
+    assert knots_exact
+    assert deviation < 1e-10
 
 
 def test_exponential_error_within_standard_bound():
-    # 20 evenly spaced knots of exp(-t/4.66) over [0, 150]; the oracle bound
-    # is the classical (5/384) h^4 max|f''''| interior term plus the
-    # (h^2/8) |f''(end)| boundary term a natural spline incurs when the true
-    # second derivative does not vanish at the ends
+    # 20 evenly spaced knots of exp(-(t - t_0)/4.66) over 150 s, 100 frames
+    # apart; the oracle bound is the classical (5/384) h^4 max|f''''|
+    # interior term plus the (h^2/8) |f''(end)| boundary term a natural
+    # spline incurs when the true second derivative does not vanish at the
+    # ends, and it holds at every reconstructed frame
     tau = 4.66
-    knots = np.linspace(0.0, 150.0, 20)
-    h = knots[1] - knots[0]
-    sp = build_natural_spline(knots, np.exp(-knots / tau))
-    dense = np.linspace(0.0, 150.0, 20001)
-    err = np.abs(eval_spline(sp, dense) - np.exp(-dense / tau))
+    knot_frames = np.arange(0, 1901, 100)
+    t = frame_times(1901, 150.0 / 1900)
+    truth = np.exp(-(t - t[0]) / tau)
+    _, out = reconstruct_curve(knot_frames, truth[knot_frames], t.size, 150.0 / 1900)
+    h = t[100] - t[0]
+    bad = np.setdiff1d(np.arange(t.size), knot_frames)
+    err = np.abs(out - truth)[bad]
     f2_end = 1.0 / tau ** 2  # max |f''| at the left end
     f4_max = 1.0 / tau ** 4
     interior_bound = (5.0 / 384.0) * h ** 4 * f4_max
     full_bound = interior_bound + (h ** 2 / 8.0) * f2_end
     assert err.max() <= full_bound
-    interior = (dense >= knots[2]) & (dense <= knots[-3])
+    interior = (t[bad] >= t[knot_frames[2]]) & (t[bad] <= t[knot_frames[-3]])
     assert err[interior].max() <= interior_bound
-
-
-def test_build_errors():
-    with pytest.raises(ValueError, match="insufficient knots"):
-        build_natural_spline([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="non-monotonic"):
-        build_natural_spline([0.0, 2.0, 1.0, 3.0], [1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError, match="non-monotonic"):
-        build_natural_spline([0.0, 1.0, 1.0, 3.0], [1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError, match="finite"):
-        build_natural_spline([0.0, 1.0, 2.0, 3.0], [1.0, np.nan, 3.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +298,8 @@ def test_vectorized_matches_per_pixel():
     t = frame_times(n, 0.5)
     for r in range(3):
         for c in range(2):
-            sp = build_natural_spline(t[good], frames[good, r, c])
-            expect = eval_spline(sp, t[~good])
-            assert np.allclose(out.frames[~good, r, c], expect, rtol=0, atol=1e-15)
+            expect, scale = oracle_values(t[good], frames[good, r, c], t[~good])
+            assert np.allclose(out.frames[~good, r, c], expect, rtol=0, atol=1e-12 * scale)
 
 
 def all_interval_reconstruction(stack, mask):
