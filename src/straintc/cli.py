@@ -13,13 +13,13 @@ from the library where the library has one) and its help; each subcommand
 lists the settings it takes.
 
 Exit codes: 0 success, 1 usage or input error (bad flags, unreadable or
-malformed input files), 2 numerical or resource failure (such as running
-out of memory).  Every run writes a manifest.txt that records each set
-flag but --out, exactly as the flag types read it back, plus the values a
-command resolved itself; `grid --from-manifest` reruns a recorded
-configuration and reproduces its CSV outputs byte-identically on the same
-platform.  The default output directory may be set with the STRAINTC_OUT
-environment variable.
+malformed input files, or a stack, mask or map a stage cannot take), 2
+numerical or resource failure (such as running out of memory).  Every run
+writes a manifest.txt that records each set flag but --out, exactly as the
+flag types read it back, plus the values a command resolved itself; `grid
+--from-manifest` reruns a recorded configuration and reproduces its CSV
+outputs byte-identically on the same platform.  The default output
+directory may be set with the STRAINTC_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import evaluate, fit as fit_mod, phantom, stackio
 from .degrade import NoiseSpec, add_noise, place_bad_frames
 from .kalman import KalmanSpec, kalman_denoise
-from .spline import MIN_KNOTS, reconstruct_stack
+from .spline import reconstruct_stack
 
 OUT_ENV = "STRAINTC_OUT"
 
@@ -197,13 +197,6 @@ def _noise_spec(args):
                      good_frame_fraction=args.good_fraction, rng_seed=args.seed)
 
 
-def _read_incremental(path):
-    stack = stackio.read_stack(path)
-    if stack.kind != "incremental":
-        raise stackio.InputError(f"{path}: expected an incremental stack, got a cumulative one")
-    return stack
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -211,7 +204,7 @@ def _cmd_synth(args):
     if args.preset:
         spec = phantom.preset(args.preset)
     else:
-        spec = phantom.spec_from_config_file(args.config)
+        spec = stackio.read_config(args.config)
     overrides = {field: getattr(args, flag) for flag, field in _SYNTH_OVERRIDES.items()
                  if getattr(args, flag) is not None}
     spec = _as_usage(replace, spec, **overrides)
@@ -219,21 +212,16 @@ def _cmd_synth(args):
     stackio.write_stack(_path(outdir, "incremental.stack"), phantom.synth_incremental(spec))
     stackio.write_stack(_path(outdir, "cumulative.stack"), phantom.synth_cumulative(spec))
     stackio.write_tc_csv(_path(outdir, "tau_true.csv"), phantom.tau_map(spec))
-    with open(_path(outdir, "phantom.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(phantom.spec_to_config_text(spec))
+    stackio.write_manifest(_path(outdir, "phantom.cfg"), phantom.spec_entries(spec))
     print(f"wrote clean stacks for {spec.width_px}x{spec.height_px}x{spec.n_frames} phantom to {outdir}")
 
 
 def _cmd_degrade(args):
     spec = _noise_spec(args)
-    stack = _read_incremental(args.stack)
-    if stack.n_frames < MIN_KNOTS:
-        # fewer frames than the good ones any fraction must keep
-        raise stackio.InputError(f"{args.stack}: degrading needs at least {MIN_KNOTS} "
-                                 f"frames, got {stack.n_frames}")
-    outdir = _ensure_outdir(args)
+    stack = stackio.read_stack(args.stack)
     mask = place_bad_frames(stack.n_frames, spec)
     degraded = add_noise(stack, mask, spec)
+    outdir = _ensure_outdir(args)
     stackio.write_stack(_path(outdir, "degraded.stack"), degraded)
     stackio.write_mask(_path(outdir, "mask.csv"), mask)
     print(f"degraded {stack.n_frames} frames ({mask.n_frames - mask.n_good} bad) to {outdir}")
@@ -243,12 +231,7 @@ def _cmd_reconstruct(args):
     if args.method == "spline":
         if not args.mask:
             raise UsageError("--method spline requires --mask")
-        stack = _read_incremental(args.stack)
-        mask = stackio.read_mask(args.mask)
-        if mask.n_frames != stack.n_frames:
-            raise stackio.InputError(f"{args.mask}: mask has {mask.n_frames} frames but "
-                                     f"{args.stack} has {stack.n_frames}")
-        result = reconstruct_stack(stack, mask)
+        result = reconstruct_stack(stackio.read_stack(args.stack), stackio.read_mask(args.mask))
     else:
         spec = KalmanSpec(window_len=args.kalman_window, process_ratio=args.kalman_ratio)
         result = kalman_denoise(stackio.read_stack(args.stack), spec)
@@ -266,31 +249,26 @@ def _regions_from_truth(truth):
     if values.size == 1:
         return np.zeros(truth.shape, dtype=bool)
     if values.size != 2:
-        raise ValueError(f"truth map must hold 1 or 2 distinct values, found {values.size}")
+        raise stackio.InputError(
+            f"truth map must hold 1 or 2 distinct values, found {values.size}")
     inclusion_value = values[np.argmin(counts)]
     return truth == inclusion_value
 
 
 def _cmd_fit(args):
     stack = stackio.read_stack(args.stack)
-    if stack.n_frames < fit_mod.MIN_FRAMES:
-        raise stackio.InputError(f"{args.stack}: a fit needs at least {fit_mod.MIN_FRAMES} "
-                                 f"frames, got {stack.n_frames}")
     truth = stackio.read_tc_csv(args.truth) if args.truth else None
-    if truth is not None and truth.shape != stack.frames.shape[1:]:
-        raise stackio.InputError(f"{args.truth}: truth map shape {truth.shape} does not "
-                                 f"match the stack's {stack.frames.shape[1:]}")
-    outdir = _ensure_outdir(args)
+    inc_mask = None if truth is None else _regions_from_truth(truth)
     args.cumulated_input = stack.kind == "incremental"
     if args.cumulated_input:
         stack = fit_mod.cumulate(stack)
     config = fit_mod.LMConfig(max_iterations=args.lm_max_iter, rel_tolerance=args.lm_tol)
     tc = fit_mod.fit_stack(stack, config, truth)
+    outdir = _ensure_outdir(args)
     stackio.write_tc_csv(_path(outdir, "tau_map.csv"), tc.tau_map)
     stackio.write_tc_csv(_path(outdir, "converged.csv"), tc.converged_mask.astype(float))
     stackio.write_pgm(_path(outdir, "tau_map.pgm"), tc.tau_map)
     if truth is not None:
-        inc_mask = _regions_from_truth(truth)
         with open(_path(outdir, "pre.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("region,pre_percent,mean_estimated_tau,true_tau,coverage\n")
             regions = ["background", "whole"] if not inc_mask.any() else list(evaluate.REGIONS)

@@ -18,9 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phantom import StrainStack
+from .phantom import InputError, StrainStack
 
 
+# fewest good frames a degraded stack keeps: the knots a natural cubic spline
+# reconstruction needs
+MIN_KNOTS = 4
 # salts separating the independent RNG substreams derived from one user seed
 _MASK_STREAM = 0
 _FRAME_STREAM = 1
@@ -90,16 +93,17 @@ def place_bad_frames(n_frames: int, spec: NoiseSpec) -> FrameQualityMask:
 
     Exactly n_frames - round(fraction * n_frames) distinct frames are labeled
     bad, drawn uniformly without replacement; deterministic given the seed.
-    Raises ValueError when fewer than 4 good frames would remain, since the
-    spline reconstruction needs at least 4 knots.
+    A stack of fewer than MIN_KNOTS frames is an InputError; a fraction
+    that leaves fewer than MIN_KNOTS good frames raises ValueError, since
+    the spline reconstruction needs that many knots.
     """
-    if n_frames < 2:
-        raise ValueError(f"need at least 2 frames, got {n_frames}")
+    if n_frames < MIN_KNOTS:
+        raise InputError(f"degrading needs at least {MIN_KNOTS} frames, got {n_frames}")
     n_good = int(round(spec.good_frame_fraction * n_frames))
-    if n_good < 4:
+    if n_good < MIN_KNOTS:
         raise ValueError(
             f"insufficient good frames: fraction {spec.good_frame_fraction} of "
-            f"{n_frames} frames leaves {n_good} good frames, need >= 4")
+            f"{n_frames} frames leaves {n_good} good frames, need >= {MIN_KNOTS}")
     n_bad = n_frames - n_good
     good = np.ones(n_frames, dtype=bool)
     if n_bad:
@@ -118,9 +122,9 @@ def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> St
     so frames are independent and any frame is reproducible in isolation.
     """
     if stack.kind != "incremental":
-        raise ValueError("noise is added to incremental stacks")
+        raise InputError("expected an incremental stack, got a cumulative one")
     if stack.n_frames != mask.n_frames:
-        raise ValueError(f"stack has {stack.n_frames} frames but mask has {mask.n_frames}")
+        raise InputError(f"mask has {mask.n_frames} frames but the stack has {stack.n_frames}")
     frames = stack.frames
     # per-frame RMS from the squares of a block of frames at a time, so no
     # stack-sized temporary exists; the sums are those of the whole stack

@@ -119,17 +119,6 @@ def _trial_seed(seed, sample, snr_db, fraction, trial):
     return int(ss.generate_state(1)[0])
 
 
-def apply_method(method, stack, mask, kalman_spec):
-    """Denoising arm of the comparison: identity, Kalman, or spline."""
-    if method == "noisy":
-        return stack
-    if method == "kalman":
-        return kalman_denoise(stack, kalman_spec)
-    if method == "spline":
-        return reconstruct_stack(stack, mask)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _run_cell(args):
     (sample, snr_db, fraction, methods, trials, seed, width, height,
      kalman_spec, lm_config, want_maps) = args
@@ -151,7 +140,12 @@ def _run_cell(args):
             start = time.perf_counter()
             # each stack is dropped once used, so that at most clean,
             # degraded, denoised and cumulative stacks are alive together
-            denoised = apply_method(method, degraded, mask, kalman_spec)
+            if method == "kalman":
+                denoised = kalman_denoise(degraded, kalman_spec)
+            elif method == "spline":
+                denoised = reconstruct_stack(degraded, mask)
+            else:
+                denoised = degraded
             cum = fit_mod.cumulate(denoised)
             del denoised
             tc = fit_mod.fit_stack(cum, lm_config, truth)
@@ -199,6 +193,9 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    unknown = sorted(set(methods) - set(METHODS))
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; expected some of {METHODS}")
     cells = [(sample, float(snr), float(frac), tuple(methods), trials, seed,
               width, height, kalman_spec, lm_config, map_callback is not None)
              for sample in samples for snr in snrs for frac in fractions]

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .phantom import StrainStack, frame_times
+from .phantom import InputError, StrainStack, frame_times
 
 
 # Marquardt damping: the starting value, and the factor it is divided by
@@ -313,17 +313,23 @@ def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(),
     """Fit every pixel of a cumulative stack and assemble the TC image.
 
     The input must already be cumulative; use cumulate() on incremental
-    stacks first.
+    stacks first.  A stack of the wrong kind or of fewer than MIN_FRAMES
+    frames, and a truth map of another shape or not finite and > 0, are
+    refused with InputError before any fitting.
     """
     if stack.kind != "cumulative":
-        raise ValueError("fit_stack expects a cumulative stack; apply cumulate() first")
+        raise InputError("expected a cumulative stack, got an incremental one; "
+                         "apply cumulate() first")
     n, height, width = stack.frames.shape
     if n < MIN_FRAMES:
-        raise ValueError(f"need at least {MIN_FRAMES} frames, got {n}")
+        raise InputError(f"a fit needs at least {MIN_FRAMES} frames, got {n}")
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64)
         if truth.shape != (height, width):
-            raise ValueError(f"truth map shape {truth.shape} does not match {(height, width)}")
+            raise InputError(f"truth map shape {truth.shape} does not match the "
+                             f"stack's {(height, width)}")
+        if not np.all((truth > 0) & (truth < np.inf)):
+            raise InputError("truth map values must be finite and > 0")
     times = frame_times(n, stack.sample_time_s)
     values = stack.frames.reshape(n, height * width).T
     _, _, tau, _, _, conv = _lm_engine(times, values, config)
@@ -333,7 +339,7 @@ def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(),
 def cumulate(stack: StrainStack) -> StrainStack:
     """Running sum of an incremental stack along the frame axis."""
     if stack.kind != "incremental":
-        raise ValueError("cumulate expects an incremental stack")
+        raise InputError("expected an incremental stack, got a cumulative one")
     # frame by frame, the same sums as np.cumsum(axis=0), which instead
     # strides across all frames once per pixel
     frames = stack.frames

@@ -74,7 +74,8 @@ def _smoother_matrix(n, ratio, window_len):
 
 
 def kalman_denoise(stack: StrainStack, spec: KalmanSpec = KalmanSpec()) -> StrainStack:
-    """Apply the fixed-lag smoother to every pixel of an incremental stack."""
+    """Apply the fixed-lag smoother to every pixel of a stack of either
+    kind; the result keeps the input's kind."""
     n = stack.n_frames
     K = _smoother_matrix(n, spec.process_ratio, spec.window_len)
     out = K @ stack.frames.reshape(n, -1)

@@ -133,6 +133,11 @@ def preset(name, **overrides) -> PhantomSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
+class InputError(ValueError):
+    """An input a stage cannot take: a malformed file, or a stack, mask or
+    map that does not fit the stage."""
+
+
 @dataclass
 class StrainStack:
     """N temporal frames of H x W strain with uniform sampling time.
@@ -226,10 +231,10 @@ def synth_cumulative(spec: PhantomSpec) -> StrainStack:
 
 
 # ---------------------------------------------------------------------------
-# plain-text config files: one "key = value" per line, # comments allowed.
-# Region fields use dotted keys (inclusion.tau = 4.66); inclusion_center is
-# two comma-separated meters.  eta/gamma may be omitted and default from the
-# applied stress.
+# phantom configs: entries mapping a key to its value, which stackio reads
+# and writes as "key = value" files.  Region fields use dotted keys
+# (inclusion.tau = 4.66); inclusion_center is two comma-separated meters.
+# eta/gamma may be omitted and default from the applied stress.
 
 _SPEC_FLOAT_KEYS = ("field_width_m", "field_height_m", "inclusion_radius_m",
                     "sample_time_s", "applied_stress_kpa")
@@ -237,32 +242,10 @@ _SPEC_INT_KEYS = ("width_px", "height_px", "n_frames")
 _REGION_KEYS = ("young_modulus", "poisson_ratio", "tau", "eta", "gamma")
 
 
-def spec_from_config_text(text: str) -> PhantomSpec:
-    """Parse a PhantomSpec from key = value text (see module docstring).
-
-    Malformed text and values the spec rejects raise stackio.InputError.
-    """
-    from .stackio import InputError  # stackio imports this module
-
-    try:
-        return _parse_config(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _parse_config(text):
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in entries:
-            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        entries[key] = value
-
+def spec_from_entries(entries: dict) -> PhantomSpec:
+    """The PhantomSpec of config entries; a key or value the spec cannot
+    take raises ValueError."""
+    entries = dict(entries)
     if "preset" in entries:
         name = entries.pop("preset")
         if entries:
@@ -303,28 +286,12 @@ def _parse_config(text):
     return PhantomSpec(inclusion=regions["inclusion"], background=regions["background"], **kwargs)
 
 
-def spec_from_config_file(path) -> PhantomSpec:
-    """spec_from_config_text of a UTF-8 file; errors name the file."""
-    from .stackio import InputError  # stackio imports this module
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return spec_from_config_text(fh.read())
-        except ValueError as exc:  # InputError, or a file that is not UTF-8
-            raise InputError(f"{path}: {exc}") from None
-
-
-def spec_to_config_text(spec: PhantomSpec) -> str:
-    """Serialize a PhantomSpec so spec_from_config_text round-trips it."""
-    lines = []
-    for key in _SPEC_INT_KEYS:
-        lines.append(f"{key} = {getattr(spec, key)}")
-    for key in _SPEC_FLOAT_KEYS:
-        lines.append(f"{key} = {getattr(spec, key)!r}")
-    cx, cy = spec.inclusion_center
-    lines.append(f"inclusion_center = {cx!r}, {cy!r}")
+def spec_entries(spec: PhantomSpec) -> dict:
+    """Config entries of a PhantomSpec, which spec_from_entries maps back to it."""
+    entries = {key: getattr(spec, key) for key in (*_SPEC_INT_KEYS, *_SPEC_FLOAT_KEYS)}
+    entries["inclusion_center"] = "{!r}, {!r}".format(*spec.inclusion_center)
     for region in ("inclusion", "background"):
         params = getattr(spec, region)
         for rkey in _REGION_KEYS:
-            lines.append(f"{region}.{rkey} = {getattr(params, rkey)!r}")
-    return "\n".join(lines) + "\n"
+            entries[f"{region}.{rkey}"] = getattr(params, rkey)
+    return entries

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .degrade import FrameQualityMask
-from .phantom import StrainStack, frame_times
+from .degrade import MIN_KNOTS, FrameQualityMask
+from .phantom import InputError, StrainStack, frame_times
 
 
-MIN_KNOTS = 4
 # bytes per (frames, pixels) float64 array of one block of pixel columns in
 # reconstruct_stack: 1092 pixels at 300 frames, so the solve's temporaries
 # stay a few MiB whatever the image size (a 32x32 stack is one block)
@@ -89,9 +88,9 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     is evaluated straight into its output row.
     """
     if stack.kind != "incremental":
-        raise ValueError("reconstruction operates on incremental stacks")
+        raise InputError("expected an incremental stack, got a cumulative one")
     if stack.n_frames != mask.n_frames:
-        raise ValueError(f"stack has {stack.n_frames} frames but mask has {mask.n_frames}")
+        raise InputError(f"mask has {mask.n_frames} frames but the stack has {stack.n_frames}")
     if mask.n_good < MIN_KNOTS:
         raise ValueError(f"insufficient good frames: need >= {MIN_KNOTS}, got {mask.n_good}")
     bad = mask.bad_indices

@@ -1,5 +1,6 @@
 """File formats: binary strain stacks, mask tables, TC map CSV, 8-bit PGM
-images with value-range sidecars, and plain-text run manifests.
+images with value-range sidecars, and the plain-text `key = value` files
+of run manifests and phantom configs.
 
 Stack files are self-describing little-endian binary:
 
@@ -23,7 +24,7 @@ import struct
 import numpy as np
 
 from .degrade import FrameQualityMask
-from .phantom import StrainStack
+from .phantom import InputError, PhantomSpec, StrainStack, spec_from_entries
 
 
 MAGIC = b"STRAINSTACK\0"
@@ -31,10 +32,6 @@ VERSION = 1
 _HEADER = struct.Struct("<IIIIdB")
 _KIND_FLAGS = {"incremental": 0, "cumulative": 1}
 _FLAG_KINDS = {v: k for k, v in _KIND_FLAGS.items()}
-
-
-class InputError(ValueError):
-    """A malformed input file: wrong format, truncated or unparseable."""
 
 
 def write_stack(path, stack: StrainStack) -> None:
@@ -164,20 +161,34 @@ def write_pgm(path, values: np.ndarray) -> None:
 
 
 def write_manifest(path, entries: dict) -> None:
-    """Resolved run configuration as 'key = value' lines."""
+    """Entries as 'key = value' lines: a run manifest or a phantom config."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in entries.items():
             fh.write(f"{key} = {value}\n")
 
 
 def read_manifest(path) -> dict:
+    """Entries of a 'key = value' file, # starting a comment; a line without
+    '=' or a key given twice is an InputError naming the line."""
     entries = {}
-    for raw in _read_lines(path):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise InputError(f"{path}: malformed manifest line {raw!r}")
+            raise InputError(f"{path}: malformed line {lineno}: expected 'key = value', "
+                             f"got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise InputError(f"{path}: line {lineno}: duplicate key {key!r}")
         entries[key] = value
     return entries
+
+
+def read_config(path) -> PhantomSpec:
+    """The phantom a config file describes (see phantom.spec_from_entries)."""
+    entries = read_manifest(path)
+    try:
+        return spec_from_entries(entries)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None

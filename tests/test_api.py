@@ -51,6 +51,20 @@ def test_no_test_only_code_in_src():
     assert not unused, f"defined in src but used only by tests, if at all: {unused}"
 
 
+def test_package_imports_at_module_level():
+    # an import inside a function can hide an import cycle between two
+    # modules of the package; every one of them sits at the top of its module
+    nested = []
+    for path in sorted((REPO / "src" / "straintc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                           if isinstance(node, ast.ImportFrom)
+                           and (node.level or (node.module or "").startswith("straintc"))]
+    assert not nested, f"package imports inside functions: {nested}"
+
+
 def test_benchmark_trace_wrappers_install_and_restore(monkeypatch):
     # the traced benchmark run wraps module attributes by name; a renamed or
     # removed one would only show there, so install its wrappers here, run a

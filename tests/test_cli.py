@@ -186,6 +186,33 @@ def test_fit_truth_shape_mismatch_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _one_pixel(value):
+    truth = np.full((8, 8), 4.66)
+    truth[2, 3] = value
+    return truth
+
+
+@pytest.mark.parametrize("truth, message", [
+    (_one_pixel(-1.0), "finite and > 0"), (_one_pixel(np.inf), "finite and > 0"),
+    (np.zeros((8, 8)), "finite and > 0"), (_one_pixel(np.nan), "finite and > 0"),
+    (np.repeat([4.66, 11.42, 2.0], [40, 20, 4]).reshape(8, 8),
+     "1 or 2 distinct values, found 3"),
+], ids=["negative", "inf", "zeros", "nan", "three_values"])
+def test_fit_bad_truth_map_is_input_error(tmp_path, capsys, truth, message):
+    synth = tmp_path / "synth"
+    run("synth", "--preset", "A", "--width", "8", "--height", "8", "--frames", "20",
+        "--out", str(synth))
+    path = tmp_path / "truth.csv"
+    stackio.write_tc_csv(path, truth)
+    capsys.readouterr()
+    out = tmp_path / "f"
+    assert run("fit", "--stack", str(synth / "cumulative.stack"), "--truth", str(path),
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("straintc: input error:") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (("reconstruct", "--method", "spline", "--stack", "{deg}/degraded.stack",
       "--mask", "{short_mask}"), "mask has 10 frames"),
@@ -365,7 +392,8 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
-CONFIG = phantom.spec_to_config_text(phantom.preset("A", width_px=8, height_px=8, n_frames=20))
+CONFIG = "".join(f"{key} = {value}\n" for key, value in phantom.spec_entries(
+    phantom.preset("A", width_px=8, height_px=8, n_frames=20)).items())
 NON_FINITE_CONFIGS = [
     pytest.param(CONFIG.replace(f"{key} = {value}", f"{key} = {bad}").encode(), id=f"{key}={bad}")
     for key, value, bad in [("field_width_m", "0.04", "nan"), ("sample_time_s", "0.5", "inf"),
@@ -416,6 +444,19 @@ def test_bad_grid_manifest_value_is_input_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("straintc: input error:") and key in err
     assert not (out / "grid.csv").exists()
+
+
+def test_grid_manifest_duplicate_key_is_input_error(tmp_path, capsys):
+    path = tmp_path / "manifest.txt"
+    path.write_text("subcommand = grid\ntrials = 1\ntrials = 2\n" + "".join(
+        f"{key} = {value}\n" for key, value in GRID_MANIFEST.items()
+        if key not in ("subcommand", "trials")))
+    out = tmp_path / "g"
+    assert main(["grid", "--from-manifest", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("straintc: input error:")
+    assert "line 3: duplicate key 'trials'" in err
+    assert not out.exists()
 
 
 def test_grid_kalman_ratio_is_recorded_and_rerun(tmp_path, capsys):

@@ -147,6 +147,14 @@ def test_grid_rejects_zero_trials():
         tiny_grid(jobs=0)
 
 
+def test_grid_rejects_unknown_method_before_any_cell(monkeypatch):
+    def unreachable(args):
+        raise AssertionError("a cell ran before the methods were checked")
+    monkeypatch.setattr(evaluate, "_run_cell", unreachable)
+    with pytest.raises(ValueError, match="unknown methods \\['foo'\\]"):
+        tiny_grid(methods=("noisy", "foo"))
+
+
 def test_grid_empty_region_is_nan_not_abort():
     # one LM iteration converges no pixel, so every region of every trial is
     # empty; the grid still completes and reports it

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from straintc.phantom import (PhantomSpec, RegionParams, frame_times, param_maps,
-                              preset, spec_from_config_text, spec_to_config_text,
+                              preset, spec_entries, spec_from_entries,
                               synth_cumulative, synth_incremental, tau_map)
-from straintc.stackio import InputError
 
 # independently computed with 40-digit arithmetic:
 # (0.01/4.66) * exp(-0.5/4.66) * 0.5
@@ -179,37 +178,30 @@ def test_frame_times():
 
 def test_config_round_trip():
     spec = preset("B", width_px=32, height_px=24)
-    text = spec_to_config_text(spec)
-    assert spec_from_config_text(text) == spec
+    assert spec_from_entries(spec_entries(spec)) == spec
 
 
 def test_config_preset_line():
-    assert spec_from_config_text("preset = C\n") == preset("C")
+    assert spec_from_entries({"preset": "C"}) == preset("C")
 
 
 def test_config_defaults_eta_gamma():
-    text = """
-    # minimal two-region phantom
-    applied_stress_kpa = 2.0
-    inclusion.young_modulus = 50.0
-    inclusion.poisson_ratio = 0.45
-    inclusion.tau = 4.0
-    background.young_modulus = 25.0
-    background.poisson_ratio = 0.47
-    background.tau = 10.0
-    """
-    spec = spec_from_config_text(text)
+    # a minimal two-region phantom, values as a config file holds them
+    spec = spec_from_entries({
+        "applied_stress_kpa": "2.0",
+        "inclusion.young_modulus": "50.0", "inclusion.poisson_ratio": "0.45",
+        "inclusion.tau": "4.0",
+        "background.young_modulus": "25.0", "background.poisson_ratio": "0.47",
+        "background.tau": "10.0"})
     assert spec.inclusion.eta == pytest.approx(2.0 / 50.0)
     assert spec.background.gamma == pytest.approx(-0.5 * 2.0 / 25.0)
 
 
 def test_config_rejects_unknown_keys():
-    good = spec_to_config_text(preset("A"))
-    with pytest.raises(InputError, match="unknown config keys"):
-        spec_from_config_text(good + "mystery_knob = 3\n")
-    with pytest.raises(InputError, match="expected 'key = value'"):
-        spec_from_config_text("width_px: 12\n")
-    with pytest.raises(InputError, match="abc"):
-        spec_from_config_text(good.replace("width_px = 128", "width_px = abc"))
-    with pytest.raises(InputError, match="pixel dimensions"):
-        spec_from_config_text(good.replace("width_px = 128", "width_px = 0"))
+    good = spec_entries(preset("A"))
+    with pytest.raises(ValueError, match="unknown config keys"):
+        spec_from_entries({**good, "mystery_knob": "3"})
+    with pytest.raises(ValueError, match="abc"):
+        spec_from_entries({**good, "width_px": "abc"})
+    with pytest.raises(ValueError, match="pixel dimensions"):
+        spec_from_entries({**good, "width_px": "0"})

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from straintc import stackio
 from straintc.degrade import FrameQualityMask
-from straintc.phantom import (StrainStack, preset, spec_from_config_text, spec_to_config_text,
-                              synth_incremental)
+from straintc.phantom import StrainStack, preset, spec_entries, synth_incremental
 
 
 def test_stack_round_trip(tmp_path):
@@ -225,6 +224,28 @@ def test_manifest_round_trip(tmp_path):
         stackio.read_manifest(bad)
 
 
+def test_config_file_round_trip(tmp_path):
+    spec = preset("B", width_px=32, height_px=24)
+    path = tmp_path / "phantom.cfg"
+    stackio.write_manifest(path, spec_entries(spec))
+    assert stackio.read_config(path) == spec
+    path.write_text("  # preset with a comment\n\npreset = C  # sample C\n")
+    assert stackio.read_config(path) == preset("C")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# comment\nwidth_px: 12\n", "malformed line 2: expected 'key = value'"),
+    ("width_px = abc\n", "abc"),
+])
+def test_config_file_errors_name_the_file_once(tmp_path, text, message):
+    path = tmp_path / "phantom.cfg"
+    path.write_text(text)
+    with pytest.raises(stackio.InputError, match=message) as info:
+        stackio.read_config(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert str(info.value).count(str(path)) == 1
+
+
 # ---------------------------------------------------------------------------
 # property: for any file content, a reader returns a value or raises InputError
 
@@ -272,8 +293,8 @@ def test_reader_returns_or_raises_input_error(tmp_path, reader, contents, data):
         pass
 
 
-_BASE_CONFIG = dict(line.split(" = ", 1) for line in spec_to_config_text(
-    preset("A", width_px=8, height_px=8, n_frames=20)).splitlines())
+_BASE_CONFIG = {key: str(value) for key, value in spec_entries(
+    preset("A", width_px=8, height_px=8, n_frames=20)).items()}
 _CONFIG_VALUES = st.one_of(
     st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "1e308", "1e-308", "0.02, 0.02",
                      "0.02, nan", "1, 2, 3"]),
@@ -295,10 +316,13 @@ def _config_texts(draw):
     return "".join(f"{k} = {v}\n" for k, v in entries.items())
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_config_texts())
-def test_config_parser_returns_spec_or_raises_input_error(text):
+def test_config_parser_returns_spec_or_raises_input_error(tmp_path, text):
+    path = tmp_path / "phantom.cfg"
+    path.write_bytes(text.encode())
     try:
-        spec_from_config_text(text)
+        stackio.read_config(path)
     except stackio.InputError:
         pass
