@@ -29,7 +29,7 @@ import inspect
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -269,13 +269,9 @@ def _cmd_fit(args):
     stackio.write_tc_csv(_path(outdir, "converged.csv"), tc.converged_mask.astype(float))
     stackio.write_pgm(_path(outdir, "tau_map.pgm"), tc.tau_map)
     if truth is not None:
-        with open(_path(outdir, "pre.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("region,pre_percent,mean_estimated_tau,true_tau,coverage\n")
-            regions = ["background", "whole"] if not inc_mask.any() else list(evaluate.REGIONS)
-            for region in regions:
-                r = evaluate.compute_pre(tc, region, inc_mask)
-                fh.write(f"{r.region},{r.pre_percent!r},{r.mean_estimated_tau!r},"
-                         f"{r.true_tau!r},{r.coverage!r}\n")
+        stackio.write_csv(_path(outdir, "pre.csv"),
+                          [field.name for field in fields(evaluate.PREResult)],
+                          map(astuple, evaluate.compute_pre(tc, inc_mask)))
     print(f"TC image written to {outdir} "
           f"(converged {tc.converged_mask.mean() * 100:.1f}% of pixels)")
 
@@ -318,24 +314,19 @@ def _cmd_grid(args):
         width=args.size, height=args.size, kalman_spec=kalman_spec,
         lm_config=lm_config, jobs=args.jobs, map_callback=map_callback)
 
-    with open(_path(outdir, "grid.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample,method,snr_db,good_fraction,region,pre_mean,pre_std,coverage\n")
-        for r in results:
-            fh.write(f"{r.sample},{r.method},{r.snr_db!r},{r.good_fraction!r},"
-                     f"{r.region},{r.pre_mean!r},{r.pre_std!r},{r.coverage!r}\n")
+    def write_columns(name, columns, rows):
+        stackio.write_csv(_path(outdir, name), columns,
+                          ([getattr(r, c) for c in columns] for r in rows))
+
+    cell = ("sample", "method", "snr_db", "good_fraction")
+    write_columns("grid.csv", (*cell, "region", "pre_mean", "pre_std", "coverage"), results)
     # wall time varies run to run, so it lives in its own file and the main
     # CSV stays byte-reproducible
-    with open(_path(outdir, "grid_timing.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample,method,snr_db,good_fraction,wall_time_s\n")
-        for r in results:
-            if r.region == "whole":
-                fh.write(f"{r.sample},{r.method},{r.snr_db!r},{r.good_fraction!r},"
-                         f"{r.wall_time_s!r}\n")
+    write_columns("grid_timing.csv", (*cell, "wall_time_s"),
+                  [r for r in results if r.region == "whole"])
     for sample in args.samples:
-        table = evaluate.format_grid_table(results, sample)
-        with open(_path(outdir, f"table_{sample}.txt"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(table)
+        stackio.write_text(_path(outdir, f"table_{sample}.txt"),
+                           evaluate.format_grid_table(results, sample))
     print(f"grid of {len(args.samples) * len(args.snrs) * len(args.fractions)} cells "
           f"x {len(args.methods)} methods written to {outdir}")
 
@@ -364,19 +355,15 @@ def _cmd_demo(args):
         curves[name] = series
         fits[name] = fit_mod.fit_exponential(times, series)
 
-    with open(_path(outdir, "demo_curves.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        names = list(arms)
-        fh.write("time_s," + ",".join(names) + "," + ",".join(f"fit_{n}" for n in names) + "\n")
-        for i, t in enumerate(times):
-            data = [repr(float(curves[n][i])) for n in names]
-            model = [repr(float(fit_mod.exp_model(t, fits[n].eta, fits[n].gamma, fits[n].tau)))
-                     for n in names]
-            fh.write(f"{float(t)!r}," + ",".join(data) + "," + ",".join(model) + "\n")
-    with open(_path(outdir, "demo_fits.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("arm,eta,gamma,tau,residual_norm,iterations,converged\n")
-        for name, f in fits.items():
-            fh.write(f"{name},{f.eta!r},{f.gamma!r},{f.tau!r},{f.residual_norm!r},"
-                     f"{f.iterations},{f.converged}\n")
+    stackio.write_csv(
+        _path(outdir, "demo_curves.csv"),
+        ["time_s", *arms, *(f"fit_{n}" for n in arms)],
+        ([t, *(curves[n][i] for n in arms),
+          *(float(fit_mod.exp_model(t, f.eta, f.gamma, f.tau)) for f in fits.values())]
+         for i, t in enumerate(times)))
+    stackio.write_csv(_path(outdir, "demo_fits.csv"),
+                      ["arm", *(field.name for field in fields(fit_mod.ExpFit))],
+                      ((name, *astuple(f)) for name, f in fits.items()))
     true_tau = phantom.tau_map(spec)[row, col]
     print(f"pixel ({row},{col}): true tau {true_tau:.3f} s; fitted tau "
           + ", ".join(f"{n}={fits[n].tau:.3f}" for n in arms))

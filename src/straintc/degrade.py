@@ -1,7 +1,7 @@
 """SNR-controlled corruption of incremental strain stacks.
 
 A fraction of frames is kept "good" at the base SNR; the rest are "bad"
-frames degraded to a much lower SNR (0 dB by default), at temporal positions
+frames degraded to BAD_FRAME_SNR_DB (0 dB), at temporal positions
 drawn uniformly without replacement.  SNR here is the per-frame amplitude
 ratio convention
 
@@ -21,6 +21,8 @@ import numpy as np
 from .phantom import InputError, StrainStack
 
 
+# SNR of every bad frame: noise as strong as the frame's signal
+BAD_FRAME_SNR_DB = 0.0
 # fewest good frames a degraded stack keeps: the knots a natural cubic spline
 # reconstruction needs
 MIN_KNOTS = 4
@@ -37,19 +39,18 @@ def _rng(seed, *key):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Corruption protocol: base SNR for good frames, bad-frame SNR, the
-    fraction of frames left good, and the seed making it reproducible."""
+    """Corruption protocol: base SNR for good frames, the fraction of frames
+    left good, and the seed making it reproducible."""
 
     base_snr_db: float
     good_frame_fraction: float
-    bad_frame_snr_db: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.good_frame_fraction <= 1.0:
             raise ValueError(f"good_frame_fraction must lie in (0, 1], got {self.good_frame_fraction}")
-        if not self.base_snr_db > self.bad_frame_snr_db:
-            raise ValueError("base_snr_db must exceed bad_frame_snr_db (bad frames are strictly worse)")
+        if not self.base_snr_db > BAD_FRAME_SNR_DB:
+            raise ValueError("base_snr_db must exceed BAD_FRAME_SNR_DB (bad frames are strictly worse)")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -109,7 +110,7 @@ def place_bad_frames(n_frames: int, spec: NoiseSpec) -> FrameQualityMask:
     if n_bad:
         bad = _rng(spec.rng_seed, _MASK_STREAM).choice(n_frames, size=n_bad, replace=False)
         good[bad] = False
-    snr = np.where(good, spec.base_snr_db, spec.bad_frame_snr_db)
+    snr = np.where(good, spec.base_snr_db, BAD_FRAME_SNR_DB)
     return FrameQualityMask(good, snr)
 
 

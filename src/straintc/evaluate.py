@@ -5,16 +5,16 @@ estimates against the region's true value:
 
     PRE = (mean_estimated_tau - true_tau) / true_tau * 100
 
-It is signed per region; the "whole" summary combines the two per-region
+It is signed per region; the "whole" summary combines the per-region
 absolute PREs weighted by region pixel count, which is the number the grid
 tables print (a single signed PRE against a single true value would be
-ill-defined for a two-region phantom).
+ill-defined for a two-region phantom).  A region with no converged pixel
+scores NaN with coverage 0, so "whole" reads NaN too; scoring never raises
+on it, and the NaN carries into the grid cell's pre_mean.
 
 The grid crosses sample presets, denoising methods, base SNR levels and
 good-frame fractions; within one cell all methods see the same degraded
-stack (matched seeds), so comparisons are paired.  A trial whose region has
-no converged pixel records NaN PRE and coverage 0 for that region rather
-than aborting the grid; the NaN then carries into the cell's pre_mean.
+stack (matched seeds), so comparisons are paired.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ METHODS = ("noisy", "kalman", "spline")
 DEFAULT_SNRS = (30.0, 40.0, 60.0)
 DEFAULT_FRACTIONS = (0.20, 0.50, 0.75)
 REGIONS = ("inclusion", "background", "whole")
-
-
-class EmptyRegionError(ValueError):
-    """No converged pixel in a region, so its PRE is undefined."""
 
 
 @dataclass
@@ -72,43 +68,38 @@ class GridResult:
     wall_time_s: float
 
 
-def _region_pre(tc, mask, region):
-    sel = mask & tc.converged_mask
-    if not sel.any():
-        raise EmptyRegionError(f"empty region: no converged pixels in {region!r}")
-    true_tau = float(tc.truth_map[mask].mean())
-    mean_est = float(tc.tau_map[sel].mean())
-    pre = (mean_est - true_tau) / true_tau * 100.0
-    coverage = float(sel.sum() / mask.sum())
-    return PREResult(region, pre, mean_est, true_tau, coverage)
-
-
-def compute_pre(tc, region: str, inclusion_mask: np.ndarray) -> PREResult:
-    """PRE of a TC image over a region ("inclusion", "background", "whole").
+def compute_pre(tc, inclusion_mask: np.ndarray) -> list[PREResult]:
+    """PRE rows of a TC image: "inclusion", then "background" (each only if
+    its mask has pixels), then "whole".
 
     Requires tc.truth_map.  Non-converged pixels are excluded from the mean
-    and reported through coverage instead; a region (or, for "whole", either
-    region) without converged pixels raises EmptyRegionError.
+    and reported through coverage instead; a region without converged pixels
+    scores NaN PRE and mean with coverage 0.  "whole" weights the regions'
+    values by pixel count, so it is NaN when either region is, and equals
+    the one region (with |PRE|) when the other has no pixels.
     """
     if tc.truth_map is None:
         raise ValueError("compute_pre requires a TC image with a truth map")
-    if region not in REGIONS:
-        raise ValueError(f"unknown region {region!r}")
     inclusion_mask = np.asarray(inclusion_mask, dtype=bool)
-    if region == "inclusion":
-        return _region_pre(tc, inclusion_mask, region)
-    if region == "background":
-        return _region_pre(tc, ~inclusion_mask, region)
-    inc = _region_pre(tc, inclusion_mask, "inclusion")
-    bg = _region_pre(tc, ~inclusion_mask, "background")
-    n_inc = int(inclusion_mask.sum())
-    n_bg = int((~inclusion_mask).sum())
-    w = n_inc + n_bg
-    combined = (n_inc * abs(inc.pre_percent) + n_bg * abs(bg.pre_percent)) / w
-    mean_est = (n_inc * inc.mean_estimated_tau + n_bg * bg.mean_estimated_tau) / w
-    true_mix = (n_inc * inc.true_tau + n_bg * bg.true_tau) / w
-    coverage = (n_inc * inc.coverage + n_bg * bg.coverage) / w
-    return PREResult("whole", combined, mean_est, true_mix, coverage)
+    rows, counts = [], []
+    for region, mask in (("inclusion", inclusion_mask), ("background", ~inclusion_mask)):
+        n = int(mask.sum())
+        if n:
+            sel = mask & tc.converged_mask
+            true_tau = float(tc.truth_map[mask].mean())
+            mean_est = float(tc.tau_map[sel].mean()) if sel.any() else np.nan
+            pre = (mean_est - true_tau) / true_tau * 100.0
+            rows.append(PREResult(region, pre, mean_est, true_tau, float(sel.sum() / n)))
+            counts.append(n)
+    if len(counts) == 1:
+        counts = [1]  # a lone region is its own whole, without rounding
+
+    def mix(values):
+        return sum(n * v for n, v in zip(counts, values)) / sum(counts)
+    rows.append(PREResult("whole", mix(abs(r.pre_percent) for r in rows),
+                          mix(r.mean_estimated_tau for r in rows),
+                          mix(r.true_tau for r in rows), mix(r.coverage for r in rows)))
+    return rows
 
 
 def _trial_seed(seed, sample, snr_db, fraction, trial):
@@ -127,8 +118,9 @@ def _run_cell(args):
     truth = tau_map(spec)
     inc_mask = inclusion_mask(spec)
 
-    pres = {(m, r): [] for m in methods for r in REGIONS}
-    cover = {(m, r): [] for m in methods for r in REGIONS}
+    # a region without pixels returns no row and keeps NaN PRE, coverage 0
+    pres = {(m, r): np.full(trials, np.nan) for m in methods for r in REGIONS}
+    cover = {(m, r): np.zeros(trials) for m in methods for r in REGIONS}
     wall = {m: 0.0 for m in methods}
     maps = {}
     for trial in range(trials):
@@ -151,26 +143,21 @@ def _run_cell(args):
             tc = fit_mod.fit_stack(cum, lm_config, truth)
             del cum
             wall[method] += time.perf_counter() - start
-            for region in REGIONS:
-                try:
-                    res = compute_pre(tc, region, inc_mask)
-                    pre, coverage = res.pre_percent, res.coverage
-                except EmptyRegionError:
-                    pre, coverage = np.nan, 0.0
-                pres[method, region].append(pre)
-                cover[method, region].append(coverage)
+            for row in compute_pre(tc, inc_mask):
+                pres[method, row.region][trial] = row.pre_percent
+                cover[method, row.region][trial] = row.coverage
             if want_maps and trial == 0:
                 maps[method] = tc
         del degraded
     results = []
     for method in methods:
         for region in REGIONS:
-            vals = np.abs(np.array(pres[method, region]))
+            vals = np.abs(pres[method, region])
             results.append(GridResult(
                 sample=sample, method=method, snr_db=snr_db,
                 good_fraction=fraction, region=region, trials=trials,
                 pre_mean=float(vals.mean()), pre_std=float(vals.std()),
-                coverage=float(np.mean(cover[method, region])),
+                coverage=float(cover[method, region].mean()),
                 wall_time_s=wall[method]))
     return results, maps
 

@@ -1,6 +1,7 @@
-"""File formats: binary strain stacks, mask tables, TC map CSV, 8-bit PGM
-images with value-range sidecars, and the plain-text `key = value` files
-of run manifests and phantom configs.
+"""File formats: binary strain stacks, CSV tables (masks, TC maps, PRE
+summaries, grid results, demo curves), plain-text tables, 8-bit PGM images
+with value-range sidecars, and the `key = value` files of run manifests and
+phantom configs.  The program writes every file through this module.
 
 Stack files are self-describing little-endian binary:
 
@@ -83,13 +84,27 @@ def _read_lines(path):
             raise InputError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
 
 
+def write_text(path, text: str) -> None:
+    """text as a UTF-8 file, its newlines written as they are."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_csv(path, header, rows) -> None:
+    """Rows of cells as CSV under an optional header of column names.  A
+    float cell (numpy's too) is written as its repr, which reads back
+    exactly and spells NaN 'nan'; any other cell as str()."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    write_text(path, "".join(line + "\n" for line in lines))
+
+
 def write_mask(path, mask: FrameQualityMask) -> None:
     """Frame quality table as CSV: frame index, good/bad label, applied SNR."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame,label,snr_db\n")
-        for i in range(mask.n_frames):
-            label = "good" if mask.good[i] else "bad"
-            fh.write(f"{i},{label},{float(mask.applied_snr_db[i])!r}\n")
+    write_csv(path, ("frame", "label", "snr_db"),
+              ((i, "good" if good else "bad", snr)
+               for i, (good, snr) in enumerate(zip(mask.good, mask.applied_snr_db))))
 
 
 def read_mask(path) -> FrameQualityMask:
@@ -116,11 +131,7 @@ def read_mask(path) -> FrameQualityMask:
 
 def write_tc_csv(path, values: np.ndarray) -> None:
     """H x W map as CSV, row-major, one value per cell; NaN spelled 'nan'."""
-    values = np.asarray(values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in values:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    write_csv(path, None, np.asarray(values, dtype=np.float64))
 
 
 def read_tc_csv(path) -> np.ndarray:
@@ -156,15 +167,13 @@ def write_pgm(path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(scaled.tobytes())
-    with open(str(path) + ".bounds.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"vmin = {vmin!r}\nvmax = {vmax!r}\n")
+    write_manifest(str(path) + ".bounds.txt", {"vmin": vmin, "vmax": vmax})
 
 
 def write_manifest(path, entries: dict) -> None:
-    """Entries as 'key = value' lines: a run manifest or a phantom config."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key} = {value}\n")
+    """Entries as 'key = value' lines: a run manifest, a phantom config or
+    a PGM's bounds sidecar."""
+    write_text(path, "".join(f"{key} = {value}\n" for key, value in entries.items()))
 
 
 def read_manifest(path) -> dict:

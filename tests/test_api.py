@@ -51,6 +51,19 @@ def test_no_test_only_code_in_src():
     assert not unused, f"defined in src but used only by tests, if at all: {unused}"
 
 
+def test_only_stackio_opens_files():
+    # every file the program writes or reads has one format, kept in stackio
+    opened = []
+    for path in sorted((REPO / "src" / "straintc").glob("*.py")):
+        if path.name == "stackio.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        opened += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not opened, f"files opened outside stackio: {opened}"
+
+
 def test_package_imports_at_module_level():
     # an import inside a function can hide an import cycle between two
     # modules of the package; every one of them sits at the top of its module

@@ -186,6 +186,33 @@ def test_fit_truth_shape_mismatch_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def fit_uniform_truth(tmp_path, stack):
+    truth = tmp_path / "truth.csv"
+    stackio.write_tc_csv(truth, np.full((8, 8), 4.66))
+    out = tmp_path / "f"
+    assert run("fit", "--stack", str(stack), "--truth", str(truth), "--out", str(out)) == 0
+    assert (out / "manifest.txt").exists()
+    return out / "pre.csv"
+
+
+def test_fit_uniform_truth_scores_background_as_whole(tmp_path):
+    # a uniform truth map is all background: no inclusion row, and "whole"
+    # is the background
+    synth = tmp_path / "synth"
+    run("synth", "--preset", "A", "--width", "8", "--height", "8", "--out", str(synth))
+    rows = read_csv_rows(fit_uniform_truth(tmp_path, synth / "cumulative.stack"))
+    assert [row.pop("region") for row in rows] == ["background", "whole"]
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_without_converged_pixels_scores_nan(tmp_path):
+    stack = tmp_path / "zero.stack"
+    stackio.write_stack(stack, phantom.StrainStack(np.zeros((20, 8, 8)), 0.5, "cumulative"))
+    lines = fit_uniform_truth(tmp_path, stack).read_text().splitlines()
+    assert lines[1:] == ["background,nan,nan,4.66,0.0", "whole,nan,nan,4.66,0.0"]
+
+
 def _one_pixel(value):
     truth = np.full((8, 8), 4.66)
     truth[2, 3] = value

@@ -6,9 +6,8 @@ from straintc.degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_f
 from straintc.phantom import StrainStack, preset, synth_incremental
 
 
-def spec(frac=0.75, snr=30.0, seed=0, bad=0.0):
-    return NoiseSpec(base_snr_db=snr, good_frame_fraction=frac,
-                     bad_frame_snr_db=bad, rng_seed=seed)
+def spec(frac=0.75, snr=30.0, seed=0):
+    return NoiseSpec(base_snr_db=snr, good_frame_fraction=frac, rng_seed=seed)
 
 
 def test_counts_75_percent():

@@ -22,27 +22,33 @@ def disk_mask(h, w, r):
     return (y - (h - 1) / 2) ** 2 + (x - (w - 1) / 2) ** 2 < r ** 2
 
 
+def pre_rows(tc, inc):
+    return {r.region: r for r in compute_pre(tc, inc)}
+
+
 def test_pre_identity_is_exactly_zero():
     truth = np.where(disk_mask(16, 16, 4), 4.66, 11.42)
     tc = image(truth.copy(), truth)
     inc = disk_mask(16, 16, 4)
-    for region in ("inclusion", "background", "whole"):
-        assert compute_pre(tc, region, inc).pre_percent == 0.0
+    rows = compute_pre(tc, inc)
+    assert [r.region for r in rows] == ["inclusion", "background", "whole"]
+    for r in rows:
+        assert r.pre_percent == 0.0
 
 
 def test_pre_doubling_is_plus_100():
     inc = disk_mask(16, 16, 4)
     truth = np.where(inc, 4.66, 11.42)
-    tc = image(np.where(inc, 2 * 4.66, 11.42), truth)
-    assert compute_pre(tc, "inclusion", inc).pre_percent == pytest.approx(100.0)
-    assert compute_pre(tc, "background", inc).pre_percent == 0.0
+    rows = pre_rows(image(np.where(inc, 2 * 4.66, 11.42), truth), inc)
+    assert rows["inclusion"].pre_percent == pytest.approx(100.0)
+    assert rows["background"].pre_percent == 0.0
 
 
 def test_pre_direct_arithmetic():
     inc = disk_mask(8, 8, 2)
     truth = np.full((8, 8), 4.0)
     tc = image(np.full((8, 8), 5.0), truth)
-    r = compute_pre(tc, "background", inc)
+    r = pre_rows(tc, inc)["background"]
     assert r.pre_percent == pytest.approx(25.0)
     assert r.mean_estimated_tau == pytest.approx(5.0)
     assert r.true_tau == pytest.approx(4.0)
@@ -52,13 +58,12 @@ def test_pre_direct_arithmetic():
 def test_pre_sign_retained_per_region():
     inc = disk_mask(16, 16, 4)
     truth = np.where(inc, 4.0, 10.0)
-    tc = image(np.where(inc, 3.0, 10.0), truth)
-    assert compute_pre(tc, "inclusion", inc).pre_percent == pytest.approx(-25.0)
+    rows = pre_rows(image(np.where(inc, 3.0, 10.0), truth), inc)
+    assert rows["inclusion"].pre_percent == pytest.approx(-25.0)
     # the whole-image summary combines absolute per-region errors
-    whole = compute_pre(tc, "whole", inc)
     n_inc = inc.sum()
     expected = 25.0 * n_inc / inc.size
-    assert whole.pre_percent == pytest.approx(expected)
+    assert rows["whole"].pre_percent == pytest.approx(expected)
 
 
 def test_pre_excludes_non_converged_and_reports_coverage():
@@ -70,23 +75,45 @@ def test_pre_excludes_non_converged_and_reports_coverage():
     idx = np.argwhere(bg)[:3]
     tau[tuple(idx.T)] = 400.0
     conv[tuple(idx.T)] = False  # garbage pixels are masked out
-    r = compute_pre(image(tau, truth, conv), "background", inc)
+    r = pre_rows(image(tau, truth, conv), inc)["background"]
     assert r.pre_percent == 0.0
     assert r.coverage == pytest.approx(1 - 3 / bg.sum())
 
 
-def test_pre_empty_region_raises():
+@pytest.mark.filterwarnings("error")
+def test_pre_empty_region_is_nan():
     inc = disk_mask(8, 8, 2)
     truth = np.full((8, 8), 4.0)
     conv = ~inc  # nothing converged inside the inclusion
-    with pytest.raises(ValueError, match="empty region"):
-        compute_pre(image(truth, truth, conv), "inclusion", inc)
+    rows = pre_rows(image(truth, truth, conv), inc)
+    empty = rows["inclusion"]
+    assert np.isnan(empty.pre_percent) and np.isnan(empty.mean_estimated_tau)
+    assert empty.true_tau == 4.0 and empty.coverage == 0.0
+    assert rows["background"].pre_percent == 0.0 and rows["background"].coverage == 1.0
+    # "whole" is NaN with it, and its coverage is the pixel-weighted one
+    whole = rows["whole"]
+    assert np.isnan(whole.pre_percent) and np.isnan(whole.mean_estimated_tau)
+    assert whole.coverage == pytest.approx((~inc).sum() / inc.size)
+
+
+def test_pre_empty_inclusion_mask_scores_background_as_whole():
+    # n * x / n with these 99 pixels rounds the last bit of the PRE, so the
+    # lone region is copied to "whole" rather than weighted by its count
+    rng = np.random.default_rng(0)
+    truth = np.full((9, 11), 4.66)
+    tc = image(rng.uniform(3.0, 7.0, (9, 11)), truth, rng.random((9, 11)) < 0.8)
+    rows = compute_pre(tc, np.zeros((9, 11), bool))
+    assert [r.region for r in rows] == ["background", "whole"]
+    bg, whole = rows
+    assert bg.pre_percent > 0
+    assert (whole.pre_percent, whole.mean_estimated_tau, whole.true_tau, whole.coverage) \
+        == (bg.pre_percent, bg.mean_estimated_tau, bg.true_tau, bg.coverage)
 
 
 def test_pre_requires_truth():
     tc = TCImage(np.ones((4, 4)), np.ones((4, 4), bool), None)
     with pytest.raises(ValueError, match="truth"):
-        compute_pre(tc, "whole", disk_mask(4, 4, 1))
+        compute_pre(tc, disk_mask(4, 4, 1))
 
 
 def tiny_grid(**kw):
@@ -163,6 +190,17 @@ def test_grid_empty_region_is_nan_not_abort():
     for r in res:
         assert np.isnan(r.pre_mean) and np.isnan(r.pre_std)
         assert r.coverage == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_region_without_pixels_is_nan_and_whole_is_the_other():
+    # no pixel center of a 2x2 phantom lies inside the inclusion
+    res = {(r.method, r.region): r for r in tiny_grid(width=2, height=2, trials=1)}
+    for method in evaluate.METHODS:
+        inc, bg, whole = (res[method, region] for region in evaluate.REGIONS)
+        assert np.isnan(inc.pre_mean) and inc.coverage == 0.0
+        assert not np.isnan(bg.pre_mean) and bg.coverage > 0
+        assert (whole.pre_mean, whole.coverage) == (bg.pre_mean, bg.coverage)
 
 
 def test_grid_holds_at_most_four_stacks_and_the_fit_blocks(monkeypatch):
