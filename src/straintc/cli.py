@@ -96,7 +96,7 @@ _SETTINGS = {
     "frames": (_count, None, "override frame count"),
     "sample_time_s": (_positive, None, "override sampling time"),
     "stack": (str, _REQUIRED, "input strain stack; degrade and spline take an incremental "
-              "one, fit cumulates an incremental one first"),
+              "one, fit takes either kind"),
     "snr_db": (_finite, 30.0, "base SNR of good frames"),
     "good_fraction": (_fraction, 0.75, "fraction of frames kept good"),
     "seed": (_seed, NoiseSpec.rng_seed, "random seed"),
@@ -167,6 +167,8 @@ def build_parser() -> _Parser:
 def _ensure_outdir(args):
     if not args.out:
         raise UsageError(f"missing output directory: pass --out or set ${OUT_ENV}")
+    # a setting manifest.txt cannot record is refused before anything is written
+    stackio.check_manifest(_manifest_entries(args))
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
@@ -175,12 +177,12 @@ def _path(outdir, name):
     return os.path.join(outdir, name)
 
 
-def _write_manifest(args):
-    """manifest.txt from the parsed flags: every set one but --out, tuples
-    comma-joined, each value as str(), which its flag type reads back."""
-    entries = {key: ",".join(map(str, value)) if isinstance(value, tuple) else value
-               for key, value in vars(args).items() if value is not None and key != "out"}
-    stackio.write_manifest(_path(args.out, "manifest.txt"), entries)
+def _manifest_entries(args):
+    """manifest.txt's entries from the parsed flags: every set one but
+    --out, tuples comma-joined, each value as str(), which its flag type
+    reads back."""
+    return {key: ",".join(map(str, value)) if isinstance(value, tuple) else value
+            for key, value in vars(args).items() if value is not None and key != "out"}
 
 
 def _as_usage(make, *args, **kwargs):
@@ -260,8 +262,6 @@ def _cmd_fit(args):
     truth = stackio.read_tc_csv(args.truth) if args.truth else None
     inc_mask = None if truth is None else _regions_from_truth(truth)
     args.cumulated_input = stack.kind == "incremental"
-    if args.cumulated_input:
-        stack = fit_mod.cumulate(stack)
     config = fit_mod.LMConfig(max_iterations=args.lm_max_iter, rel_tolerance=args.lm_tol)
     tc = fit_mod.fit_stack(stack, config, truth)
     outdir = _ensure_outdir(args)
@@ -350,8 +350,7 @@ def _cmd_demo(args):
     times = phantom.frame_times(spec.n_frames, spec.sample_time_s)
     curves, fits = {}, {}
     for name, stack in arms.items():
-        cum = fit_mod.cumulate(stack)
-        series = cum.frames[:, row, col]
+        series = np.cumsum(stack.frames[:, row, col])
         curves[name] = series
         fits[name] = fit_mod.fit_exponential(times, series)
 
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _COMMANDS[args.subcommand][0](args)
-        _write_manifest(args)
+        stackio.write_manifest(_path(args.out, "manifest.txt"), _manifest_entries(args))
         return 0
     except UsageError as exc:
         print(f"straintc: usage error: {exc}", file=sys.stderr)

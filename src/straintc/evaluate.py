@@ -130,18 +130,17 @@ def _run_cell(args):
         degraded = add_noise(clean, mask, noise)
         for method in methods:
             start = time.perf_counter()
-            # each stack is dropped once used, so that at most clean,
-            # degraded, denoised and cumulative stacks are alive together
+            # the fit sums the increments block by block and each denoised
+            # stack is dropped once fitted, so that at most the clean,
+            # degraded and denoised stacks and the fit's blocks are alive
             if method == "kalman":
                 denoised = kalman_denoise(degraded, kalman_spec)
             elif method == "spline":
                 denoised = reconstruct_stack(degraded, mask)
             else:
                 denoised = degraded
-            cum = fit_mod.cumulate(denoised)
+            tc = fit_mod.fit_stack(denoised, lm_config, truth)
             del denoised
-            tc = fit_mod.fit_stack(cum, lm_config, truth)
-            del cum
             wall[method] += time.perf_counter() - start
             for row in compute_pre(tc, inc_mask):
                 pres[method, row.region][trial] = row.pre_percent

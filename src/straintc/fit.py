@@ -2,7 +2,8 @@
 
     s(t) = eta + gamma * exp(-t / tau)
 
-to per-pixel cumulative strain curves.  The Jacobian is analytic
+to per-pixel cumulative strain curves (an incremental stack is summed into
+them block by block, inside the fit).  The Jacobian is analytic
 (d/d_eta = 1, d/d_gamma = exp(-t/tau), d/d_tau = gamma * t/tau^2 * exp(-t/tau))
 and the damping acts on the diagonal of J^T J (Marquardt scaling), which
 keeps the step scale-invariant.  tau is clamped to [T_s / 10, 100 * duration]
@@ -171,8 +172,9 @@ def _normal_equations(times, E, resid, gamma, tau):
     return jtj, jtr
 
 
-def _lm_engine(times, values, config):
-    """Vectorized LM over a (n_pixels, n_samples) batch.
+def _lm_engine(times, values, config, incremental=False):
+    """Vectorized LM over a (n_pixels, n_samples) batch, of curves or, when
+    incremental, of their increments, which each block sums once gathered.
 
     Returns (eta, gamma, tau, residual_norm, iterations, converged) arrays.
     Constant curves are degenerate for this model: they get eta = value,
@@ -196,7 +198,12 @@ def _lm_engine(times, values, config):
     cost_out = np.zeros(n_pix)
 
     def start(lo, hi):
-        y = np.ascontiguousarray(values[lo:hi])
+        # a copy even when the rows are contiguous already, since it may be
+        # summed in place
+        y = np.array(values[lo:hi], order="C")
+        if incremental:
+            # along a row, add.accumulate adds in cumulate()'s frame order
+            np.cumsum(y, axis=1, out=y)
         e, g, t = initial_guess(times, y)
         t = np.clip(t, tau_floor, tau_ceil)
         degenerate = np.ptp(y, axis=1) == 0.0
@@ -310,16 +317,15 @@ def fit_exponential(times, values, config: LMConfig = LMConfig()) -> ExpFit:
 
 def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(),
               truth: Optional[np.ndarray] = None) -> TCImage:
-    """Fit every pixel of a cumulative stack and assemble the TC image.
+    """Fit every pixel of a stack and assemble the TC image.
 
-    The input must already be cumulative; use cumulate() on incremental
-    stacks first.  A stack of the wrong kind or of fewer than MIN_FRAMES
-    frames, and a truth map of another shape or not finite and > 0, are
-    refused with InputError before any fitting.
+    A cumulative stack is fitted as it is.  An incremental one is summed
+    into cumulative curves one block of pixels at a time inside the fit, so
+    no cumulative stack is allocated; the sums, and so the fit, are bit for
+    bit those of fit_stack(cumulate(stack)).  A stack of fewer than
+    MIN_FRAMES frames, and a truth map of another shape or not finite and
+    > 0, are refused with InputError before any fitting.
     """
-    if stack.kind != "cumulative":
-        raise InputError("expected a cumulative stack, got an incremental one; "
-                         "apply cumulate() first")
     n, height, width = stack.frames.shape
     if n < MIN_FRAMES:
         raise InputError(f"a fit needs at least {MIN_FRAMES} frames, got {n}")
@@ -332,7 +338,8 @@ def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(),
             raise InputError("truth map values must be finite and > 0")
     times = frame_times(n, stack.sample_time_s)
     values = stack.frames.reshape(n, height * width).T
-    _, _, tau, _, _, conv = _lm_engine(times, values, config)
+    _, _, tau, _, _, conv = _lm_engine(times, values, config,
+                                       incremental=stack.kind == "incremental")
     return TCImage(tau.reshape(height, width), conv.reshape(height, width), truth)
 
 

@@ -75,7 +75,12 @@ def _smoother_matrix(n, ratio, window_len):
 
 def kalman_denoise(stack: StrainStack, spec: KalmanSpec = KalmanSpec()) -> StrainStack:
     """Apply the fixed-lag smoother to every pixel of a stack of either
-    kind; the result keeps the input's kind."""
+    kind; the result keeps the input's kind.
+
+    All pixels go through one K @ frames product.  BLAS picks its kernel,
+    and with it the order of each sum, by the pixel count, so a pixel's
+    last bits depend on how many pixels share its stack; that is why the
+    grid denoises whole stacks rather than the fit's pixel blocks."""
     n = stack.n_frames
     K = _smoother_matrix(n, spec.process_ratio, spec.window_len)
     out = K @ stack.frames.reshape(n, -1)

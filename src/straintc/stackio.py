@@ -170,9 +170,26 @@ def write_pgm(path, values: np.ndarray) -> None:
     write_manifest(str(path) + ".bounds.txt", {"vmin": vmin, "vmax": vmax})
 
 
+def check_manifest(entries: dict) -> None:
+    """Refuse, with InputError naming the key, an entry that read_manifest
+    would not return as str(key) and str(value): one holding a '#', a
+    character that is not printable (such as a line break, or a lone
+    surrogate that UTF-8 cannot encode), a space around key or value, or a
+    '=' in its key."""
+    for key, value in entries.items():
+        key, value = str(key), str(value)
+        if ("#" in key + value or "=" in key or not (key + value).isprintable()
+                or key != key.strip() or value != value.strip()):
+            raise InputError(f"cannot record {key} = {value!r}: a 'key = value' file "
+                             "keeps no '#', unprintable character, space around a key "
+                             "or value, or '=' in a key")
+
+
 def write_manifest(path, entries: dict) -> None:
     """Entries as 'key = value' lines: a run manifest, a phantom config or
-    a PGM's bounds sidecar."""
+    a PGM's bounds sidecar.  An entry that would read back changed is
+    refused (see check_manifest) before the file is opened."""
+    check_manifest(entries)
     write_text(path, "".join(f"{key} = {value}\n" for key, value in entries.items()))
 
 

@@ -100,6 +100,8 @@ def test_benchmark_trace_wrappers_install_and_restore(monkeypatch):
         stack = program["phantom"].synth_incremental(
             program["phantom"].preset("A", width_px=8, height_px=8))
         evaluate.detect_bad_frames(stack)
+        # the grid fits incremental stacks, so only a direct call reaches it
+        fit.cumulate(stack)
         tracer.fit_lm_sample(fit.fit_exponential)
     finally:
         tracer.uninstall()

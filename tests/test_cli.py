@@ -421,6 +421,20 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, args):
 
 CONFIG = "".join(f"{key} = {value}\n" for key, value in phantom.spec_entries(
     phantom.preset("A", width_px=8, height_px=8, n_frames=20)).items())
+
+
+def test_setting_the_manifest_cannot_record_is_input_error(tmp_path, capsys):
+    # manifest.txt would read 'x#y.cfg' back as 'x', so it is refused
+    # before the command writes anything
+    config = tmp_path / "x#y.cfg"
+    config.write_text(CONFIG)
+    out = tmp_path / "o"
+    assert run("synth", "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "input error: cannot record config = " in err and "x#y.cfg" in err
+    assert not out.exists()
+
+
 NON_FINITE_CONFIGS = [
     pytest.param(CONFIG.replace(f"{key} = {value}", f"{key} = {bad}").encode(), id=f"{key}={bad}")
     for key, value, bad in [("field_width_m", "0.04", "nan"), ("sample_time_s", "0.5", "inf"),

@@ -219,12 +219,6 @@ def test_fit_stack_all_zero_no_convergence():
     assert not tc.converged_mask.any()
 
 
-def test_fit_stack_requires_cumulative():
-    stack = StrainStack(np.zeros((50, 4, 4)), 0.5, "incremental")
-    with pytest.raises(ValueError, match="cumulative"):
-        fit_stack(stack)
-
-
 def test_cumulate_trivials():
     frames = np.arange(24, dtype=float).reshape(6, 2, 2)
     stack = StrainStack(frames, 0.5, "incremental")
@@ -376,6 +370,31 @@ def test_blocked_stack_fit_matches_single_pixel_fits(multi_block_stack, monkeypa
         assert np.array_equal([f.eta, f.gamma, f.tau, f.residual_norm],
                               [eta[i], gamma[i], tau[i], rnorm[i]], equal_nan=True)
         assert (f.iterations, f.converged) == (iters[i], conv[i])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_of_increments_matches_fit_of_cumulate(multi_block_stack, monkeypatch, threads):
+    # the fit sums an incremental stack block by block in cumulate()'s
+    # order, so it gives the bits of fitting the cumulative stack; 47 of the
+    # 48 rows make 2350 pixels, blocks of 783, 783 and 784
+    monkeypatch.setattr(fit_mod, "_fit_threads", threads)
+    frames = np.diff(multi_block_stack.frames[:, :47], axis=0, prepend=0.0)
+    inc = StrainStack(frames, 0.5, "incremental")
+    whole = fit_stack(cumulate(inc))
+    blocked = fit_stack(inc)
+    assert np.array_equal(blocked.tau_map, whole.tau_map, equal_nan=True)
+    assert np.array_equal(blocked.converged_mask, whole.converged_mask)
+    assert np.array_equal(inc.frames, frames)
+
+
+def test_fit_of_one_pixel_increments_leaves_the_stack_unchanged():
+    # a one-pixel stack's rows are contiguous, yet the fit sums a copy
+    inc = StrainStack(np.diff(exp_model(TIMES, 0.02, -0.01, 4.66), prepend=0.0)
+                      .reshape(-1, 1, 1), 0.5, "incremental")
+    frames = inc.frames.copy()
+    tc = fit_stack(inc)
+    assert np.array_equal(inc.frames, frames)
+    assert np.array_equal(tc.tau_map, fit_stack(cumulate(inc)).tau_map)
 
 
 def test_fit_stack_halves_match_whole(multi_block_stack):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from straintc import stackio
@@ -222,6 +222,29 @@ def test_manifest_round_trip(tmp_path):
     bad.write_text("no equals sign here\n")
     with pytest.raises(ValueError, match="malformed"):
         stackio.read_manifest(bad)
+
+
+# keys and values of letters, or also of the characters that end a line,
+# start a comment, split key from value or are stripped, or that UTF-8
+# cannot encode (a lone surrogate, as os.fsdecode makes of a non-UTF-8 path)
+_PLAIN = st.text("ab.,_-\xe9", max_size=6)
+_ANY = st.text("ab #=\t\n\r\x0b\x85\u2028\ud800\xe9", max_size=6)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=st.dictionaries(st.one_of(_PLAIN, _ANY), st.one_of(_PLAIN, _ANY),
+                               max_size=4))
+@example(entries={"subcommand": "synth", "config": "x#y.cfg"})
+def test_manifest_reads_back_what_it_accepted(tmp_path, entries):
+    path = tmp_path / "manifest.txt"
+    path.unlink(missing_ok=True)
+    try:
+        stackio.write_manifest(path, entries)
+    except stackio.InputError:
+        assert not path.exists()
+        return
+    assert stackio.read_manifest(path) == entries
 
 
 def test_config_file_round_trip(tmp_path):
