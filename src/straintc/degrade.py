@@ -29,8 +29,6 @@ MIN_KNOTS = 4
 # salts separating the independent RNG substreams derived from one user seed
 _MASK_STREAM = 0
 _FRAME_STREAM = 1
-# bytes of frames add_noise squares at once: 40 frames of 128x128
-_BLOCK_BYTES = 5 << 20
 
 
 def _rng(seed, *key):
@@ -127,12 +125,7 @@ def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> St
     if stack.n_frames != mask.n_frames:
         raise InputError(f"mask has {mask.n_frames} frames but the stack has {stack.n_frames}")
     frames = stack.frames
-    # per-frame RMS from the squares of a block of frames at a time, so no
-    # stack-sized temporary exists; the sums are those of the whole stack
-    rms = np.empty(stack.n_frames)
-    step = max(1, _BLOCK_BYTES // max(1, frames[:1].nbytes))
-    for lo in range(0, stack.n_frames, step):
-        rms[lo:lo + step] = np.sqrt(np.mean(frames[lo:lo + step] ** 2, axis=(1, 2)))
+    rms = np.sqrt([np.mean(f ** 2) for f in frames])
     sigma = rms * 10.0 ** (-mask.applied_snr_db / 20.0)
     out = np.empty(frames.shape)
     for n in range(stack.n_frames):

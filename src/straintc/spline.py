@@ -26,52 +26,32 @@ from .phantom import InputError, StrainStack, frame_times
 _BLOCK_BYTES = 5 << 19
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs):
-    """Thomas solve of a tridiagonal system for the (n, k) right-hand sides.
+def _second_derivatives(h):
+    """The solve taking interval slopes (n - 1, k) at n knots spaced h to the
+    knot second derivatives M (n, k) of the natural splines.  Only the
+    right-hand side 6 (slope[i] - slope[i-1]) of the interior equations
+    h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] depends on the
+    values, so the elimination's pivots and multipliers are formed once."""
+    piv = 2.0 * (h[:-1] + h[1:])
+    mul = np.empty(piv.size - 1)
+    for i in range(mul.size):
+        mul[i] = h[i + 1] / piv[i]
+        piv[i + 1] -= h[i + 1] * mul[i]
 
-    lower[i] multiplies x[i-1] in row i (lower[0] unused); upper[i]
-    multiplies x[i+1] in row i (upper[-1] unused).  No pivoting: callers
-    guarantee diagonal dominance.
-    """
-    n = diag.shape[0]
-    cp = np.empty(n - 1)
-    dp = np.empty_like(rhs, dtype=np.float64)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        den = diag[i] - lower[i] * cp[i - 1]
-        if i < n - 1:
-            cp[i] = upper[i] / den
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / den
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    return dp
+    def solve(slopes):
+        M = np.zeros((h.size + 1, slopes.shape[1]))
+        x = M[1:-1]
+        np.subtract(slopes[1:], slopes[:-1], out=x)
+        x *= 6.0
+        x[0] /= piv[0]
+        for i in range(1, piv.size):
+            x[i] -= h[i] * x[i - 1]
+            x[i] /= piv[i]
+        for i in range(mul.size - 1, -1, -1):
+            x[i] -= mul[i] * x[i + 1]
+        return M
 
-
-def _natural_second_derivatives(knots, values):
-    """Knot second derivatives M of the natural spline; values is (n, k)."""
-    h = np.diff(knots)
-    M = np.zeros_like(values, dtype=np.float64)
-    slopes = np.diff(values, axis=0) / h[:, None]
-    rhs = 6.0 * (slopes[1:] - slopes[:-1])
-    # interior equations: h[i-1] M[i-1] + 2(h[i-1]+h[i]) M[i] + h[i] M[i+1]
-    lower = np.concatenate(([0.0], h[1:-1]))
-    diag = 2.0 * (h[:-1] + h[1:])
-    upper = np.concatenate((h[1:-1], [0.0]))
-    M[1:-1] = _solve_tridiagonal(lower, diag, upper, rhs)
-    return M
-
-
-def _interval_coefficients(knots, values, M, intervals):
-    """(a, b, c, d) of the listed intervals, one row each, from values and
-    knot second derivatives."""
-    lo, hi = intervals, intervals + 1
-    h = (knots[hi] - knots[lo])[:, None]
-    a = (M[hi] - M[lo]) / (6.0 * h)
-    b = M[lo] / 2.0
-    c = (values[hi] - values[lo]) / h - h * (2.0 * M[lo] + M[hi]) / 6.0
-    d = values[lo]
-    return a, b, c, d
+    return solve
 
 
 def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack:
@@ -79,13 +59,14 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     spline interpolation over the good frames.
 
     Good frames pass through bit-exactly.  All pixels share the same knot
-    times, so one tridiagonal system serves the whole image: the solve is
-    vectorized over pixels.  Every operation acts on each pixel's column
-    alone, so the pixels are rebuilt in blocks of columns, _BLOCK_BYTES per
-    (frames, pixels) array, with the same bits as one whole-image pass and
-    temporaries whose size does not grow with the image.  Coefficients are
-    formed only for the intervals that hold a bad frame, and each bad frame
-    is evaluated straight into its output row.
+    times, so the knot spacings, the system's pivots and each bad frame's
+    interval are found once, and the solve is vectorized over pixels.  Every
+    operation acts on each pixel's column alone, so the pixels are rebuilt
+    in blocks of columns, _BLOCK_BYTES per (frames, pixels) array, with the
+    same bits as one whole-image pass and temporaries whose size does not
+    grow with the image.  Coefficients are formed only for the intervals
+    that hold a bad frame, and each bad frame is evaluated straight into its
+    output row.
     """
     if stack.kind != "incremental":
         raise InputError("expected an incremental stack, got a cumulative one")
@@ -106,9 +87,13 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     flat_out = out.reshape(n, pixels)
 
     good = mask.good_indices
+    h = np.diff(knots)
+    second_derivatives = _second_derivatives(h)
     idx = np.clip(np.searchsorted(knots, times[bad], side="right") - 1, 0, knots.size - 2)
     intervals, row_of = np.unique(idx, return_inverse=True)
     dts = times[bad] - knots[idx]
+    h_int = h[intervals, None]
+    h6_int = 6.0 * h_int
     step = max(1, _BLOCK_BYTES // (8 * n))
     for lo in range(0, pixels, step):
         cols = slice(lo, min(lo + step, pixels))
@@ -116,8 +101,12 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
         vals = np.empty((good.size, cols.stop - lo))
         for i, k in enumerate(good):
             vals[i] = flat[k, cols]
-        M = _natural_second_derivatives(knots, vals)
-        a, b, c, d = _interval_coefficients(knots, vals, M, intervals)
+        slopes = np.diff(vals, axis=0) / h[:, None]
+        M = second_derivatives(slopes)
+        a = (M[intervals + 1] - M[intervals]) / h6_int
+        b = M[intervals] / 2.0
+        c = slopes[intervals] - h_int * (2.0 * M[intervals] + M[intervals + 1]) / 6.0
+        d = vals[intervals]
         for k, j, dt in zip(bad, row_of, dts):
             # Horner's rule ((a dt + b) dt + c) dt + d in place
             row = flat_out[k, cols]

@@ -122,12 +122,11 @@ def test_noise_reproducible_and_clean_recoverable():
     assert np.allclose(recovered, stack.frames, rtol=0, atol=1e-18)
 
 
-@pytest.mark.parametrize("frames_per_block", [1, 7, 64])
-def test_add_noise_equals_whole_stack_expression(frames_per_block, monkeypatch):
-    # the per-frame RMS comes from blocks of frames (a ragged last one at 7),
-    # with the bits of the whole-stack expression
-    stack = synth_incremental(preset("B", width_px=12, height_px=10, n_frames=50))
-    monkeypatch.setattr(degrade, "_BLOCK_BYTES", frames_per_block * 12 * 10 * 8)
+@pytest.mark.parametrize("width", [1, 7, 64])
+def test_add_noise_equals_whole_stack_expression(width):
+    # the per-frame RMS comes from one frame at a time, with the bits of the
+    # whole-stack expression, for frames of 10 to 640 pixels
+    stack = synth_incremental(preset("B", width_px=width, height_px=10, n_frames=50))
     ns = spec(0.5, snr=40.0, seed=5)
     mask = place_bad_frames(stack.n_frames, ns)
     frames = stack.frames

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from straintc import spline as spline_mod
-from straintc.degrade import FrameQualityMask, NoiseSpec, place_bad_frames
+from straintc.degrade import MIN_KNOTS, FrameQualityMask, NoiseSpec, place_bad_frames
 from straintc.phantom import StrainStack, frame_times, preset, synth_incremental
 from straintc.spline import reconstruct_stack
 
@@ -310,8 +310,8 @@ def all_interval_reconstruction(stack, mask):
     knots = t[mask.good]
     flat = stack.frames.reshape(n, -1)
     vals = flat[mask.good]
-    M = spline_mod._natural_second_derivatives(knots, vals)
     h = np.diff(knots)[:, None]
+    M = spline_mod._second_derivatives(h[:, 0])(np.diff(vals, axis=0) / h)
     a = (M[1:] - M[:-1]) / (6.0 * h)
     b = M[:-1] / 2.0
     c = np.diff(vals, axis=0) / h - h * (2.0 * M[:-1] + M[1:]) / 6.0
@@ -324,17 +324,23 @@ def all_interval_reconstruction(stack, mask):
     return out.reshape(stack.frames.shape)
 
 
-@pytest.mark.parametrize("fraction", [0.05, 0.2, 0.75])
+@pytest.mark.parametrize("fraction", [None, 0.05, 0.2, 0.75])
 def test_reconstruction_matches_all_interval_formula(fraction, monkeypatch):
     # only the intervals holding a bad frame get coefficients, frames are
     # evaluated one by one, and pixels in blocks of columns (here 8 columns
     # over 5 x 7 pixels: four whole blocks and a ragged one of 3): the same
-    # operations, so the same bits
+    # operations, so the same bits; fraction None keeps MIN_KNOTS good
+    # frames, the smallest knot system (one elimination multiplier), and
+    # every mask has bad frames before the first knot and after the last
     monkeypatch.setattr(spline_mod, "_BLOCK_BYTES", 8 * 300 * 8)
-    mask = mask_for(seed=9, fraction=fraction)
-    good = mask.good.copy()
-    good[[0, 1, -1]] = False
-    mask = FrameQualityMask(good, mask.applied_snr_db)
+    if fraction is None:
+        good = np.zeros(300, bool)
+        good[[17, 90, 101, 260]] = True
+        assert good.sum() == MIN_KNOTS
+    else:
+        good = mask_for(seed=9, fraction=fraction).good.copy()
+        good[[0, 1, -1]] = False
+    mask = FrameQualityMask(good, np.where(good, 30.0, 0.0))
     rng = np.random.default_rng(2)
     stack = StrainStack(rng.standard_normal((300, 5, 7)), 0.5, "incremental")
     out = reconstruct_stack(stack, mask)
