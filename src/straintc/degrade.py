@@ -55,20 +55,15 @@ class NoiseSpec:
 
 @dataclass
 class FrameQualityMask:
-    """Per-frame good/bad labels and the SNR each frame was degraded at.
-
-    applied_snr_db is NaN for masks produced by detection rather than by the
-    corruption protocol.
-    """
+    """Per-frame good/bad labels.  A frame's SNR follows from its label and
+    the NoiseSpec: the base SNR if good, BAD_FRAME_SNR_DB if bad."""
 
     good: np.ndarray
-    applied_snr_db: np.ndarray
 
     def __post_init__(self):
         self.good = np.asarray(self.good, dtype=bool)
-        self.applied_snr_db = np.asarray(self.applied_snr_db, dtype=np.float64)
-        if self.good.shape != self.applied_snr_db.shape or self.good.ndim != 1:
-            raise ValueError("good and applied_snr_db must be matching 1-D vectors")
+        if self.good.ndim != 1:
+            raise ValueError("good must be a 1-D vector")
 
     @property
     def n_frames(self):
@@ -92,6 +87,8 @@ def place_bad_frames(n_frames: int, spec: NoiseSpec) -> FrameQualityMask:
 
     Exactly n_frames - round(fraction * n_frames) distinct frames are labeled
     bad, drawn uniformly without replacement; deterministic given the seed.
+    The mask holds only these labels: add_noise takes each frame's SNR
+    from its label and the spec.
     A stack of fewer than MIN_KNOTS frames is an InputError; a fraction
     that leaves fewer than MIN_KNOTS good frames raises ValueError, since
     the spline reconstruction needs that many knots.
@@ -108,14 +105,14 @@ def place_bad_frames(n_frames: int, spec: NoiseSpec) -> FrameQualityMask:
     if n_bad:
         bad = _rng(spec.rng_seed, _MASK_STREAM).choice(n_frames, size=n_bad, replace=False)
         good[bad] = False
-    snr = np.where(good, spec.base_snr_db, BAD_FRAME_SNR_DB)
-    return FrameQualityMask(good, snr)
+    return FrameQualityMask(good)
 
 
 def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> StrainStack:
     """Add i.i.d. zero-mean Gaussian noise to every frame of an incremental
-    stack, with per-frame sigma = rms(frame) * 10^(-SNR/20) where SNR comes
-    from the mask.
+    stack, with per-frame sigma = rms(frame) * 10^(-SNR/20), where SNR is
+    spec.base_snr_db on the mask's good frames and BAD_FRAME_SNR_DB on its
+    bad ones.
 
     Each frame's noise is drawn from its own substream of (seed, frame index),
     so frames are independent and any frame is reproducible in isolation.
@@ -126,7 +123,8 @@ def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> St
         raise InputError(f"mask has {mask.n_frames} frames but the stack has {stack.n_frames}")
     frames = stack.frames
     rms = np.sqrt([np.mean(f ** 2) for f in frames])
-    sigma = rms * 10.0 ** (-mask.applied_snr_db / 20.0)
+    snr_db = np.where(mask.good, spec.base_snr_db, BAD_FRAME_SNR_DB)
+    sigma = rms * 10.0 ** (-snr_db / 20.0)
     out = np.empty(frames.shape)
     for n in range(stack.n_frames):
         # the arithmetic of frames[n] + sigma[n] * noise, without temporaries

@@ -29,7 +29,7 @@ import numpy as np
 from . import fit as fit_mod
 from .degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_frames
 from .kalman import KalmanSpec, kalman_denoise
-from .phantom import StrainStack, inclusion_mask, preset, synth_incremental, tau_map
+from .phantom import InputError, StrainStack, inclusion_mask, preset, synth_incremental, tau_map
 from .spline import reconstruct_stack
 
 
@@ -173,7 +173,8 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
     jobs > 1 cells run in separate processes, at most one per CPU and per
     cell, each fitting on one thread; determinism is unaffected.
     map_callback(sample, method, snr, fraction, tc) receives the first
-    trial's TC image of each cell.
+    trial's TC image of each cell.  Every cell's inputs are checked before
+    the first cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -182,6 +183,13 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected some of {METHODS}")
+    for sample in samples:
+        n_frames = preset(sample, width_px=width, height_px=height).n_frames
+        for snr in snrs:
+            if not np.isfinite(snr):
+                raise ValueError(f"SNRs must be finite, got {snr}")
+            for frac in fractions:
+                place_bad_frames(n_frames, NoiseSpec(snr, frac, rng_seed=seed))
     cells = [(sample, float(snr), float(frac), tuple(methods), trials, seed,
               width, height, kalman_spec, lm_config, map_callback is not None)
              for sample in samples for snr in snrs for frac in fractions]
@@ -283,12 +291,14 @@ def detect_bad_frames(stack: StrainStack) -> FrameQualityMask:
     Runs of adjacent corrupted frames can also pull their good neighbors
     over the threshold (the labeling errs toward caution there), and the
     first and last frames have degenerate one-frame windows and are never
-    flagged.
-    applied_snr_db is NaN (unknown for detected masks).
+    flagged.  A cumulative stack, or one of fewer than 8 frames, is an
+    InputError.
     """
+    if stack.kind != "incremental":
+        raise InputError("expected an incremental stack, got a cumulative one")
     n = stack.n_frames
     if n < 8:
-        raise ValueError(f"need at least 8 frames to detect bad ones, got {n}")
+        raise InputError(f"need at least 8 frames to detect bad ones, got {n}")
     frames = stack.frames.reshape(n, -1)
     half_max = _DETECT_WINDOW // 2
     tiny = np.finfo(np.float64).tiny
@@ -302,4 +312,4 @@ def detect_bad_frames(stack: StrainStack) -> FrameQualityMask:
         rel_dev[k] = dev / max(mag, tiny)
     scale = max(float(np.median(rel_dev)), _DETECT_MIN_SCALE)
     good = rel_dev <= _DETECT_THRESHOLD * scale
-    return FrameQualityMask(good, np.full(n, np.nan))
+    return FrameQualityMask(good)

@@ -44,9 +44,9 @@ from .phantom import InputError, StrainStack, frame_times
 INITIAL_DAMPING = 1e-3
 DAMPING_FACTOR = 10.0
 _DAMPING_CAP = 1e14
-# bytes per (rows, n_samples) float64 array of one block: 1092 rows at 300
-# samples, so a block's working arrays stay in cache instead of streaming
-# through memory on every iteration
+# bytes per (rows, n_samples) float64 array of one pixel block of the fit
+# and of the spline (about 1092 rows at 300 samples), so that a block's arrays
+# stay in cache instead of streaming through memory on every iteration
 _BLOCK_BYTES = 5 << 19
 # iterations each block runs before the pixels still active in all blocks are
 # pooled into one batch: otherwise every block that holds one slow pixel
@@ -129,10 +129,9 @@ def initial_guess(times, values):
     """
     n = values.shape[1]
     n_tail = max(1, int(round(0.1 * n)))
-    # sum the tail one sample column at a time, so that eta0 does not depend
-    # on the memory layout of values: numpy sums a C-ordered row pairwise but
-    # an F-ordered one sample by sample, which is the order used here and
-    # the one fit_stack's column-major pixel view has always had
+    # sum the tail one sample column at a time, in order, so that eta0 does
+    # not depend on the memory layout of values: numpy sums a C-ordered row
+    # pairwise but an F-ordered one sample by sample
     eta0 = functools.reduce(np.add, values[:, -n_tail:].T) / n_tail
     gamma0 = values[:, 0] - eta0
     dev = np.abs(values - eta0[:, None])
@@ -170,6 +169,14 @@ def _normal_equations(times, E, resid, gamma, tau):
                     np.einsum("pn,pn->p", E, resid),
                     np.einsum("pn,pn->p", G, resid)], axis=1)
     return jtj, jtr
+
+
+def _block_edges(n_pix, n_samples):
+    """Edges of the pixel blocks of n_pix rows of n_samples float64 values:
+    the fewest blocks that hold at most _BLOCK_BYTES on average, their sizes
+    differing by at most one row."""
+    n_blocks = max(1, -(-n_pix * n_samples * 8 // _BLOCK_BYTES))
+    return [n_pix * k // n_blocks for k in range(n_blocks + 1)]
 
 
 def _lm_engine(times, values, config, incremental=False):
@@ -272,14 +279,13 @@ def _lm_engine(times, values, config, incremental=False):
                 resid = resid[keep]
         return [rows, y, E, resid, cost]
 
-    n_blocks = max(1, -(-n_pix * n * 8 // _BLOCK_BYTES))
-    edges = [n_pix * k // n_blocks for k in range(n_blocks + 1)]
+    edges = _block_edges(n_pix, n)
     first = min(_FIRST_PHASE, config.max_iterations)
 
     def first_phase(lo, hi):
         return iterate(start(lo, hi), first)
 
-    threads = min(n_blocks, _fit_threads)
+    threads = min(len(edges) - 1, _fit_threads)
     # the pool lives only for this call: run_grid forks its worker processes,
     # and no thread may be alive at a fork
     if threads > 1:
@@ -347,12 +353,5 @@ def cumulate(stack: StrainStack) -> StrainStack:
     """Running sum of an incremental stack along the frame axis."""
     if stack.kind != "incremental":
         raise InputError("expected an incremental stack, got a cumulative one")
-    # frame by frame, the same sums as np.cumsum(axis=0), which instead
-    # strides across all frames once per pixel
-    frames = stack.frames
-    out = np.empty_like(frames)
-    out[:1] = frames[:1]
-    for k in range(1, frames.shape[0]):
-        np.add(out[k - 1], frames[k], out=out[k])
-    return StrainStack(out, stack.sample_time_s, "cumulative")
+    return StrainStack(np.cumsum(stack.frames, axis=0), stack.sample_time_s, "cumulative")
 

@@ -17,13 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .degrade import MIN_KNOTS, FrameQualityMask
+from .fit import _block_edges
 from .phantom import InputError, StrainStack, frame_times
-
-
-# bytes per (frames, pixels) float64 array of one block of pixel columns in
-# reconstruct_stack: 1092 pixels at 300 frames, so the solve's temporaries
-# stay a few MiB whatever the image size (a 32x32 stack is one block)
-_BLOCK_BYTES = 5 << 19
 
 
 def _second_derivatives(h):
@@ -62,11 +57,11 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     times, so the knot spacings, the system's pivots and each bad frame's
     interval are found once, and the solve is vectorized over pixels.  Every
     operation acts on each pixel's column alone, so the pixels are rebuilt
-    in blocks of columns, _BLOCK_BYTES per (frames, pixels) array, with the
-    same bits as one whole-image pass and temporaries whose size does not
-    grow with the image.  Coefficients are formed only for the intervals
-    that hold a bad frame, and each bad frame is evaluated straight into its
-    output row.
+    in the fit's pixel blocks (15 at 128x128x300, one for a 32x32 stack),
+    with the same bits as one whole-image pass and temporaries whose size
+    does not grow with the image.  Coefficients are formed only for the
+    intervals that hold a bad frame, and each bad frame is evaluated
+    straight into its output row.
     """
     if stack.kind != "incremental":
         raise InputError("expected an incremental stack, got a cumulative one")
@@ -94,13 +89,12 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     dts = times[bad] - knots[idx]
     h_int = h[intervals, None]
     h6_int = 6.0 * h_int
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    for lo in range(0, pixels, step):
-        cols = slice(lo, min(lo + step, pixels))
+    edges = _block_edges(pixels, n)
+    for lo, hi in zip(edges[:-1], edges[1:]):
         # gathered row by row: fancy indexing of a column block is ~4x slower
-        vals = np.empty((good.size, cols.stop - lo))
+        vals = np.empty((good.size, hi - lo))
         for i, k in enumerate(good):
-            vals[i] = flat[k, cols]
+            vals[i] = flat[k, lo:hi]
         slopes = np.diff(vals, axis=0) / h[:, None]
         M = second_derivatives(slopes)
         a = (M[intervals + 1] - M[intervals]) / h6_int
@@ -109,7 +103,7 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
         d = vals[intervals]
         for k, j, dt in zip(bad, row_of, dts):
             # Horner's rule ((a dt + b) dt + c) dt + d in place
-            row = flat_out[k, cols]
+            row = flat_out[k, lo:hi]
             np.multiply(a[j], dt, out=row)
             row += b[j]
             row *= dt

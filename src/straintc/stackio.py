@@ -101,21 +101,19 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_mask(path, mask: FrameQualityMask) -> None:
-    """Frame quality table as CSV: frame index, good/bad label, applied SNR."""
-    write_csv(path, ("frame", "label", "snr_db"),
-              ((i, "good" if good else "bad", snr)
-               for i, (good, snr) in enumerate(zip(mask.good, mask.applied_snr_db))))
+    """Frame quality table as CSV: frame index and good/bad label."""
+    write_csv(path, ("frame", "label"), enumerate(np.where(mask.good, "good", "bad")))
 
 
 def read_mask(path) -> FrameQualityMask:
     lines = _read_lines(path)
-    if not lines or lines[0].strip() != "frame,label,snr_db":
-        raise InputError(f"{path}: not a mask file")
-    good, snrs = [], []
+    if not lines or lines[0].strip() != "frame,label":
+        raise InputError(f"{path}: not a mask file (expected the header 'frame,label')")
+    good = []
     for expected, line in enumerate(lines[1:]):
         try:
-            idx, label, snr = line.strip().split(",")
-            idx, snr = int(idx), float(snr)
+            idx, label = line.strip().split(",")
+            idx = int(idx)
         except ValueError:
             raise InputError(f"{path}: malformed mask line {line!r}") from None
         if idx != expected:
@@ -123,10 +121,9 @@ def read_mask(path) -> FrameQualityMask:
         if label not in ("good", "bad"):
             raise InputError(f"{path}: bad label {label!r}")
         good.append(label == "good")
-        snrs.append(snr)
     if not good:
         raise InputError(f"{path}: mask file lists no frames")
-    return FrameQualityMask(np.array(good, dtype=bool), np.array(snrs))
+    return FrameQualityMask(np.array(good, dtype=bool))
 
 
 def write_tc_csv(path, values: np.ndarray) -> None:

@@ -273,7 +273,7 @@ def test_input_fault_is_input_error(tmp_path, capsys, args, message):
     run("degrade", "--stack", str(dirs["synth"] / "incremental.stack"),
         "--out", str(dirs["deg"]))
     dirs["short_mask"] = tmp_path / "short_mask.csv"
-    stackio.write_mask(dirs["short_mask"], FrameQualityMask(np.ones(10, bool), np.zeros(10)))
+    stackio.write_mask(dirs["short_mask"], FrameQualityMask(np.ones(10, bool)))
     capsys.readouterr()
     out = tmp_path / "o"
     assert run(*(a.format(**dirs) for a in args), "--out", str(out)) == 1

@@ -27,15 +27,22 @@ def test_mask_deterministic():
     a = place_bad_frames(300, spec(0.5, seed=11))
     b = place_bad_frames(300, spec(0.5, seed=11))
     assert np.array_equal(a.good, b.good)
-    assert np.array_equal(a.applied_snr_db, b.applied_snr_db)
     c = place_bad_frames(300, spec(0.5, seed=12))
     assert not np.array_equal(a.good, c.good)
 
 
 def test_mask_snr_labels():
-    mask = place_bad_frames(20, spec(0.5, snr=40.0))
-    assert np.all(mask.applied_snr_db[mask.good] == 40.0)
-    assert np.all(mask.applied_snr_db[~mask.good] == 0.0)
+    # add_noise degrades the good frames at the base SNR and the bad ones at
+    # 0 dB: each frame's noise over its own standard normal draw is sigma
+    stack = StrainStack(np.full((20, 4, 4), 1e-3), 0.5, "incremental")
+    ns = spec(0.5, snr=40.0)
+    mask = place_bad_frames(20, ns)
+    noise = add_noise(stack, mask, ns).frames - stack.frames
+    draws = np.stack([degrade._rng(ns.rng_seed, degrade._FRAME_STREAM, n).standard_normal((4, 4))
+                      for n in range(20)])
+    snr = 20 * np.log10(1e-3 / np.median(noise / draws, axis=(1, 2)))
+    assert np.allclose(snr[mask.good], 40.0)
+    assert np.allclose(snr[~mask.good], 0.0)
 
 
 def test_insufficient_good_frames():
@@ -91,7 +98,7 @@ def test_noise_zero_mean():
     ns = spec(0.5, snr=20.0, seed=5)
     mask = place_bad_frames(stack.n_frames, ns)
     noise = add_noise(stack, mask, ns).frames - stack.frames
-    sigma = 1e-3 * 10 ** (-mask.applied_snr_db / 20)
+    sigma = 1e-3 * 10 ** (-np.where(mask.good, 20.0, 0.0) / 20)
     for n in range(10):
         assert abs(noise[n].mean()) < 4 * sigma[n] / np.sqrt(128 * 128)
 
@@ -130,7 +137,8 @@ def test_add_noise_equals_whole_stack_expression(width):
     ns = spec(0.5, snr=40.0, seed=5)
     mask = place_bad_frames(stack.n_frames, ns)
     frames = stack.frames
-    sigma = np.sqrt(np.mean(frames ** 2, axis=(1, 2))) * 10.0 ** (-mask.applied_snr_db / 20.0)
+    snr_db = np.where(mask.good, ns.base_snr_db, degrade.BAD_FRAME_SNR_DB)
+    sigma = np.sqrt(np.mean(frames ** 2, axis=(1, 2))) * 10.0 ** (-snr_db / 20.0)
     noise = np.stack([degrade._rng(5, degrade._FRAME_STREAM, n).standard_normal(frames[n].shape)
                       for n in range(stack.n_frames)])
     expected = frames + sigma[:, None, None] * noise
@@ -154,4 +162,4 @@ def test_add_noise_rejects_cumulative():
 
 def test_mask_vector_validation():
     with pytest.raises(ValueError):
-        FrameQualityMask(np.ones(5, bool), np.zeros(4))
+        FrameQualityMask(np.ones((5, 2), bool))

@@ -8,7 +8,8 @@ from straintc import fit as fit_mod
 from straintc.degrade import NoiseSpec, add_noise, place_bad_frames
 from straintc.evaluate import compute_pre, detect_bad_frames, format_grid_table, run_grid
 from straintc.fit import LMConfig, TCImage
-from straintc.phantom import StrainStack, inclusion_mask, preset, synth_incremental, tau_map
+from straintc.phantom import (InputError, StrainStack, inclusion_mask, preset,
+                              synth_cumulative, synth_incremental, tau_map)
 from straintc.spline import reconstruct_stack
 
 
@@ -183,6 +184,22 @@ def test_grid_rejects_unknown_method_before_any_cell(monkeypatch):
         tiny_grid(methods=("noisy", "foo"))
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(samples=("A", "Z")), "unknown preset 'Z'"),
+    (dict(snrs=(60.0, float("nan"))), "SNRs must be finite"),
+    (dict(snrs=(60.0, float("inf"))), "SNRs must be finite"),
+    (dict(fractions=(0.75, 1.5)), "good_frame_fraction"),
+    (dict(width=0), "pixel dimensions"),
+    (dict(seed=-1), "rng_seed"),
+], ids=["sample", "nan_snr", "inf_snr", "fraction", "width", "seed"])
+def test_grid_rejects_bad_cell_inputs_before_any_cell(monkeypatch, kw, message):
+    def unreachable(args):
+        raise AssertionError("a cell ran before its inputs were checked")
+    monkeypatch.setattr(evaluate, "_run_cell", unreachable)
+    with pytest.raises(ValueError, match=message):
+        tiny_grid(**kw)
+
+
 def test_grid_empty_region_is_nan_not_abort():
     # one LM iteration converges no pixel, so every region of every trial is
     # empty; the grid still completes and reports it
@@ -327,7 +344,17 @@ def test_detector_clean_stack_all_good():
     stack = synth_incremental(preset("A", width_px=16, height_px=16))
     mask = detect_bad_frames(stack)
     assert mask.good.all()
-    assert np.isnan(mask.applied_snr_db).all()
+
+
+def test_detected_mask_degrades_to_a_finite_stack():
+    # a detected mask holds labels only, so add_noise takes it like the
+    # protocol's own
+    stack = synth_incremental(preset("A", width_px=8, height_px=8, n_frames=40))
+    ns = NoiseSpec(base_snr_db=30.0, good_frame_fraction=0.75, rng_seed=2)
+    degraded = add_noise(stack, place_bad_frames(stack.n_frames, ns), ns)
+    detected = detect_bad_frames(degraded)
+    assert not detected.good.all()
+    assert np.isfinite(add_noise(stack, detected, ns).frames).all()
 
 
 def test_detector_identical_frames_all_good():
@@ -379,8 +406,11 @@ def test_detector_flags_bad_frames_in_noisy_stack():
 
 def test_detector_validation():
     stack = StrainStack(np.zeros((5, 4, 4)), 0.5, "incremental")
-    with pytest.raises(ValueError, match="at least 8"):
+    with pytest.raises(InputError, match="at least 8"):
         detect_bad_frames(stack)
+    cumulative = synth_cumulative(preset("A", width_px=8, height_px=8))
+    with pytest.raises(InputError, match="expected an incremental stack"):
+        detect_bad_frames(cumulative)
 
 
 # the detector's temporal medians come from min/max sorting networks

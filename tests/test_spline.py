@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from straintc import fit as fit_mod
 from straintc import spline as spline_mod
 from straintc.degrade import MIN_KNOTS, FrameQualityMask, NoiseSpec, place_bad_frames
 from straintc.phantom import StrainStack, frame_times, preset, synth_incremental
@@ -61,7 +62,7 @@ def reconstruct_curve(knot_frames, values, n_frames, sample_time_s=0.1):
     frames[knot_frames, 0, 0] = values
     good = np.zeros(n_frames, bool)
     good[knot_frames] = True
-    mask = FrameQualityMask(good, np.where(good, 30.0, 0.0))
+    mask = FrameQualityMask(good)
     out = reconstruct_stack(StrainStack(frames, sample_time_s, "incremental"), mask)
     return frame_times(n_frames, sample_time_s), out.frames[:, 0, 0]
 
@@ -194,7 +195,7 @@ def mask_for(seed, fraction=0.75, n=300):
 def test_all_good_mask_is_identity():
     spec = preset("A", width_px=4, height_px=4)
     clean = synth_incremental(spec)
-    mask = FrameQualityMask(np.ones(300, bool), np.full(300, 60.0))
+    mask = FrameQualityMask(np.ones(300, bool))
     out = reconstruct_stack(clean, mask)
     assert np.array_equal(out.frames, clean.frames)
 
@@ -211,7 +212,7 @@ def test_single_interior_bad_frame_linear_data():
     frames = (0.002 * t - 0.001)[:, None, None] * np.ones((1, 3, 3))
     good = np.ones(10, bool)
     good[4] = False
-    mask = FrameQualityMask(good, np.where(good, 60.0, 0.0))
+    mask = FrameQualityMask(good)
     corrupted = frames.copy()
     corrupted[4] = 123.0
     out = reconstruct_stack(StrainStack(corrupted, 0.5, "incremental"), mask)
@@ -264,7 +265,7 @@ def test_halving_bad_fraction_never_hurts():
         for _ in range(3):
             good = np.ones(300, bool)
             good[bad] = False
-            mask = FrameQualityMask(good, np.where(good, 30.0, 0.0))
+            mask = FrameQualityMask(good)
             clean, corrupted = zeroed_clean_stack(sample, mask)
             out = reconstruct_stack(corrupted, mask)
             good_t = t[mask.good]
@@ -292,7 +293,7 @@ def test_vectorized_matches_per_pixel():
     frames = rng.standard_normal((n, 3, 2))
     good = np.ones(n, bool)
     good[rng.choice(n, size=10, replace=False)] = False
-    mask = FrameQualityMask(good, np.where(good, 30.0, 0.0))
+    mask = FrameQualityMask(good)
     stack = StrainStack(frames, 0.5, "incremental")
     out = reconstruct_stack(stack, mask)
     t = frame_times(n, 0.5)
@@ -327,12 +328,12 @@ def all_interval_reconstruction(stack, mask):
 @pytest.mark.parametrize("fraction", [None, 0.05, 0.2, 0.75])
 def test_reconstruction_matches_all_interval_formula(fraction, monkeypatch):
     # only the intervals holding a bad frame get coefficients, frames are
-    # evaluated one by one, and pixels in blocks of columns (here 8 columns
-    # over 5 x 7 pixels: four whole blocks and a ragged one of 3): the same
+    # evaluated one by one, and pixels in the fit's blocks of columns (here a
+    # budget of 8 columns splits 5 x 7 pixels into five blocks of 7): the same
     # operations, so the same bits; fraction None keeps MIN_KNOTS good
     # frames, the smallest knot system (one elimination multiplier), and
     # every mask has bad frames before the first knot and after the last
-    monkeypatch.setattr(spline_mod, "_BLOCK_BYTES", 8 * 300 * 8)
+    monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 8 * 300 * 8)
     if fraction is None:
         good = np.zeros(300, bool)
         good[[17, 90, 101, 260]] = True
@@ -340,7 +341,7 @@ def test_reconstruction_matches_all_interval_formula(fraction, monkeypatch):
     else:
         good = mask_for(seed=9, fraction=fraction).good.copy()
         good[[0, 1, -1]] = False
-    mask = FrameQualityMask(good, np.where(good, 30.0, 0.0))
+    mask = FrameQualityMask(good)
     rng = np.random.default_rng(2)
     stack = StrainStack(rng.standard_normal((300, 5, 7)), 0.5, "incremental")
     out = reconstruct_stack(stack, mask)
@@ -351,7 +352,7 @@ def test_reconstruction_memory_does_not_grow_with_pixels(monkeypatch):
     # what reconstruct_stack allocates beyond its output is one block's
     # temporaries, the same for 1024 and 4096 pixels (4 and 16 blocks)
     n = 60
-    monkeypatch.setattr(spline_mod, "_BLOCK_BYTES", 8 * n * 256)
+    monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 8 * n * 256)
     mask = mask_for(seed=9, fraction=0.75, n=n)
     beyond = []
     for side in (32, 64):
@@ -371,7 +372,7 @@ def test_reconstruction_memory_does_not_grow_with_pixels(monkeypatch):
 def test_insufficient_good_frames_propagates():
     good = np.zeros(20, bool)
     good[[3, 8, 15]] = True
-    mask = FrameQualityMask(good, np.where(good, 30.0, 0.0))
+    mask = FrameQualityMask(good)
     stack = StrainStack(np.zeros((20, 2, 2)), 0.5, "incremental")
     with pytest.raises(ValueError, match="insufficient good frames"):
         reconstruct_stack(stack, mask)
@@ -379,6 +380,6 @@ def test_insufficient_good_frames_propagates():
 
 def test_reconstruct_rejects_cumulative():
     stack = StrainStack(np.zeros((10, 2, 2)), 0.5, "cumulative")
-    mask = FrameQualityMask(np.ones(10, bool), np.full(10, 30.0))
+    mask = FrameQualityMask(np.ones(10, bool))
     with pytest.raises(ValueError, match="incremental"):
         reconstruct_stack(stack, mask)

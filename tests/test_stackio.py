@@ -128,20 +128,19 @@ def test_written_stack_is_never_refused_on_read(tmp_path, shape, kind, sample_ti
 
 
 def test_mask_round_trip(tmp_path):
-    good = np.array([True, False, True, True, False])
-    mask = FrameQualityMask(good, np.where(good, 37.5, 0.0))
+    mask = FrameQualityMask(np.array([True, False, True, True, False]))
     path = tmp_path / "m.csv"
     stackio.write_mask(path, mask)
-    back = stackio.read_mask(path)
-    assert np.array_equal(back.good, mask.good)
-    assert np.array_equal(back.applied_snr_db, mask.applied_snr_db)
+    assert path.read_text() == "frame,label\n0,good\n1,bad\n2,good\n3,good\n4,bad\n"
+    assert np.array_equal(stackio.read_mask(path).good, mask.good)
 
 
-def test_mask_round_trip_nan_snr(tmp_path):
-    mask = FrameQualityMask(np.ones(4, bool), np.full(4, np.nan))
-    path = tmp_path / "m.csv"
-    stackio.write_mask(path, mask)
-    assert np.isnan(stackio.read_mask(path).applied_snr_db).all()
+def test_mask_with_snr_column_is_input_error(tmp_path):
+    # the three-column format of earlier versions is not read
+    path = tmp_path / "old.csv"
+    path.write_text("frame,label,snr_db\n0,good,30.0\n1,bad,0.0\n")
+    with pytest.raises(stackio.InputError, match="old.csv: not a mask file"):
+        stackio.read_mask(path)
 
 
 def test_mask_rejects_garbage(tmp_path):
@@ -152,11 +151,18 @@ def test_mask_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize("text", [
+    # files of the earlier three-column format
     "frame,label,snr_db\n0,good\n",
     "frame,label,snr_db\nzero,good,30.0\n",
     "frame,label,snr_db\n1,good,30.0\n",
     "frame,label,snr_db\n0,maybe,30.0\n",
     "frame,label,snr_db\n",
+    "frame,label\n0\n",
+    "frame,label\n0,good,30.0\n",
+    "frame,label\nzero,good\n",
+    "frame,label\n1,good\n",
+    "frame,label\n0,maybe\n",
+    "frame,label\n",
 ])
 def test_mask_malformed_is_input_error(tmp_path, text):
     path = tmp_path / "m.csv"
@@ -300,7 +306,7 @@ _STACK_BYTES = st.one_of(
 
 @pytest.mark.parametrize("reader, contents", [
     (stackio.read_stack, _STACK_BYTES),
-    (stackio.read_mask, _file_bytes("frame,label,snr_db\n")),
+    (stackio.read_mask, _file_bytes("frame,label\n")),
     (stackio.read_manifest, _file_bytes()),
     (stackio.read_tc_csv, _file_bytes()),
 ], ids=["stack", "mask", "manifest", "tc_csv"])
