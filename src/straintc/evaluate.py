@@ -195,7 +195,8 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
              for sample in samples for snr in snrs for frac in fractions]
     workers = min(jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:
-        # one fit thread per worker: the workers already share out the CPUs
+        # one fit thread per worker: the workers already share out the CPUs,
+        # so more fit threads gain no time and only add their blocks' memory
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=fit_mod._one_fit_thread) as pool:
             outcomes = list(pool.map(_run_cell, cells))

@@ -57,8 +57,9 @@ MIN_FRAMES = 4
 
 
 # threads one fit may spread its first-phase blocks over; a run_grid pool
-# worker lowers it to 1 through _one_fit_thread, because its sibling workers
-# already keep the other CPUs busy
+# worker lowers it to 1 through _one_fit_thread: its sibling workers already
+# keep the other CPUs busy, so more fit threads there gain no time and each
+# thread's block temporaries raise the worker's peak memory
 _fit_threads = os.cpu_count() or 1
 
 

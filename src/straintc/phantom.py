@@ -15,7 +15,7 @@ approximates s(t) - s(0).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -47,14 +47,15 @@ class RegionParams:
             raise ValueError("eta + gamma must be non-negative (strain magnitude at t=0)")
 
 
-def _default_region(young_modulus, poisson_ratio, tau, applied_stress_kpa=1.0,
-                    eta=None, gamma=None):
+def _default_region(settings, young_modulus, poisson_ratio, tau, eta=None, gamma=None):
     """Region with eta/gamma defaulted from the small-strain elastic estimate
-    eta = stress/E and gamma = -eta/2 unless given explicitly."""
+    eta = stress/E and gamma = -eta/2 unless given explicitly; the stress is
+    the applied_stress_kpa of settings (PhantomSpec keyword values) or the
+    spec's default."""
     if eta is None:
         if not young_modulus > 0:
             raise ValueError(f"young_modulus must be positive, got {young_modulus}")
-        eta = applied_stress_kpa / young_modulus
+        eta = settings.get("applied_stress_kpa", PhantomSpec.applied_stress_kpa) / young_modulus
     if gamma is None:
         gamma = -0.5 * eta
     return RegionParams(young_modulus, poisson_ratio, tau, eta, gamma)
@@ -116,20 +117,18 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name, **overrides) -> PhantomSpec:
-    """Build one of the named sample presets ("A", "B" or "C").
+    """Build one of the named sample presets, named exactly as in
+    PRESET_NAMES ("A", "B" or "C").
 
     Keyword overrides are applied on top of the preset (e.g. width_px=32 for
     a reduced-resolution phantom).
     """
     try:
-        inc, bg = _PRESETS[name.upper()]
+        inc, bg = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}") from None
-    stress = overrides.get("applied_stress_kpa", 1.0)
-    spec = PhantomSpec(
-        inclusion=_default_region(*inc, applied_stress_kpa=stress),
-        background=_default_region(*bg, applied_stress_kpa=stress),
-    )
+    spec = PhantomSpec(inclusion=_default_region(overrides, *inc),
+                       background=_default_region(overrides, *bg))
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -232,15 +231,11 @@ def synth_cumulative(spec: PhantomSpec) -> StrainStack:
 
 # ---------------------------------------------------------------------------
 # phantom configs: entries mapping a key to its value, which stackio reads
-# and writes as "key = value" files.  Region fields use dotted keys
-# (inclusion.tau = 4.66); inclusion_center is two comma-separated meters.
-# eta/gamma may be omitted and default from the applied stress.
-
-_SPEC_FLOAT_KEYS = ("field_width_m", "field_height_m", "inclusion_radius_m",
-                    "sample_time_s", "applied_stress_kpa")
-_SPEC_INT_KEYS = ("width_px", "height_px", "n_frames")
-_REGION_KEYS = ("young_modulus", "poisson_ratio", "tau", "eta", "gamma")
-
+# and writes as "key = value" files.  The keys are the PhantomSpec field
+# names, each parsed as the type of its default; the regions (the fields
+# without a default) take one dotted key per RegionParams field
+# (inclusion.tau = 4.66), of which eta/gamma may be omitted and default from
+# the applied stress.  inclusion_center is two comma-separated meters.
 
 def spec_from_entries(entries: dict) -> PhantomSpec:
     """The PhantomSpec of config entries; a key or value the spec cannot
@@ -252,46 +247,41 @@ def spec_from_entries(entries: dict) -> PhantomSpec:
             raise ValueError("a preset config must not set other keys; use CLI overrides")
         return preset(name)
 
-    kwargs = {}
-    for key in _SPEC_FLOAT_KEYS:
-        if key in entries:
-            kwargs[key] = float(entries.pop(key))
-    for key in _SPEC_INT_KEYS:
-        if key in entries:
-            kwargs[key] = int(entries.pop(key))
-    if "inclusion_center" in entries:
-        parts = entries.pop("inclusion_center").split(",")
-        if len(parts) != 2:
-            raise ValueError("inclusion_center must be 'x_m, y_m'")
-        kwargs["inclusion_center"] = (float(parts[0]), float(parts[1]))
+    kwargs, regions = {}, {}
+    for field in fields(PhantomSpec):
+        name, default = field.name, field.default
+        if default is MISSING:
+            regions[name] = {f.name: float(entries.pop(f"{name}.{f.name}"))
+                             for f in fields(RegionParams) if f"{name}.{f.name}" in entries}
+        elif name in entries:
+            text = entries.pop(name)
+            if isinstance(default, tuple):
+                parts = text.split(",")
+                if len(parts) != len(default):
+                    raise ValueError(f"{name} must be {len(default)} comma-separated numbers")
+                kwargs[name] = tuple(map(float, parts))
+            else:
+                kwargs[name] = type(default)(text)
 
-    stress = kwargs.get("applied_stress_kpa", 1.0)
-    regions = {}
-    for region in ("inclusion", "background"):
-        fields = {}
-        for rkey in _REGION_KEYS:
-            dotted = f"{region}.{rkey}"
-            if dotted in entries:
-                fields[rkey] = float(entries.pop(dotted))
-        missing = {"young_modulus", "poisson_ratio", "tau"} - set(fields)
+    for name, given in regions.items():
+        missing = {f.name for f in fields(RegionParams)} - {"eta", "gamma"} - set(given)
         if missing:
-            raise ValueError(f"config missing {region} keys: {sorted(missing)}")
-        regions[region] = _default_region(
-            fields["young_modulus"], fields["poisson_ratio"], fields["tau"],
-            applied_stress_kpa=stress,
-            eta=fields.get("eta"), gamma=fields.get("gamma"))
+            raise ValueError(f"config missing {name} keys: {sorted(missing)}")
+        regions[name] = _default_region(kwargs, **given)
 
     if entries:
         raise ValueError(f"unknown config keys: {sorted(entries)}")
-    return PhantomSpec(inclusion=regions["inclusion"], background=regions["background"], **kwargs)
+    return PhantomSpec(**regions, **kwargs)
 
 
 def spec_entries(spec: PhantomSpec) -> dict:
     """Config entries of a PhantomSpec, which spec_from_entries maps back to it."""
-    entries = {key: getattr(spec, key) for key in (*_SPEC_INT_KEYS, *_SPEC_FLOAT_KEYS)}
-    entries["inclusion_center"] = "{!r}, {!r}".format(*spec.inclusion_center)
-    for region in ("inclusion", "background"):
-        params = getattr(spec, region)
-        for rkey in _REGION_KEYS:
-            entries[f"{region}.{rkey}"] = getattr(params, rkey)
+    entries = {}
+    for name, value in asdict(spec).items():
+        if isinstance(value, dict):
+            entries.update((f"{name}.{rkey}", rvalue) for rkey, rvalue in value.items())
+        elif isinstance(value, tuple):
+            entries[name] = ", ".join(map(repr, value))
+        else:
+            entries[name] = value
     return entries

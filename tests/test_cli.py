@@ -443,6 +443,7 @@ NON_FINITE_CONFIGS = [
 
 
 @pytest.mark.parametrize("text", [b"width_px = abc\n", b"nonsense line\n", b"preset = Z\n",
+                                  b"preset = a\n",
                                   b"preset = A\nwidth_px = 8\n", b"\xff\xfe = 1\n",
                                   *NON_FINITE_CONFIGS])
 def test_malformed_phantom_config_is_input_error(tmp_path, capsys, text):

@@ -186,12 +186,13 @@ def test_grid_rejects_unknown_method_before_any_cell(monkeypatch):
 
 @pytest.mark.parametrize("kw, message", [
     (dict(samples=("A", "Z")), "unknown preset 'Z'"),
+    (dict(samples=("a",)), "unknown preset 'a'"),
     (dict(snrs=(60.0, float("nan"))), "SNRs must be finite"),
     (dict(snrs=(60.0, float("inf"))), "SNRs must be finite"),
     (dict(fractions=(0.75, 1.5)), "good_frame_fraction"),
     (dict(width=0), "pixel dimensions"),
     (dict(seed=-1), "rng_seed"),
-], ids=["sample", "nan_snr", "inf_snr", "fraction", "width", "seed"])
+], ids=["sample", "lower_case_sample", "nan_snr", "inf_snr", "fraction", "width", "seed"])
 def test_grid_rejects_bad_cell_inputs_before_any_cell(monkeypatch, kw, message):
     def unreachable(args):
         raise AssertionError("a cell ran before its inputs were checked")

@@ -56,6 +56,8 @@ def test_spec_validation():
         preset("A", inclusion_radius_m=0.03)  # sticks out of the 4 cm field
     with pytest.raises(ValueError):
         preset("D")
+    with pytest.raises(ValueError, match="unknown preset 'a'"):
+        preset("a")
 
 
 def test_tau_map_center_and_corner():

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from straintc import stackio
 from straintc.degrade import FrameQualityMask
-from straintc.phantom import StrainStack, preset, spec_entries, synth_incremental
+from straintc.phantom import (PhantomSpec, RegionParams, StrainStack, preset, spec_entries,
+                              synth_incremental)
 
 
 def test_stack_round_trip(tmp_path):
@@ -262,9 +264,33 @@ def test_config_file_round_trip(tmp_path):
     assert stackio.read_config(path) == preset("C")
 
 
+def test_config_file_round_trip_keeps_every_field(tmp_path):
+    spec = PhantomSpec(
+        inclusion=RegionParams(young_modulus=40.0, poisson_ratio=0.44, tau=1 / 3,
+                               eta=0.03, gamma=-0.02),
+        background=RegionParams(young_modulus=20.0, poisson_ratio=0.48, tau=9.25,
+                                eta=0.05, gamma=-0.01),
+        width_px=20, height_px=12, field_width_m=0.05, field_height_m=0.03,
+        inclusion_center=(0.021, 0.017), inclusion_radius_m=0.006, n_frames=40,
+        sample_time_s=0.25, applied_stress_kpa=1.5)
+    # every field is away from its default and eta/gamma away from the
+    # values the stress gives, so a key the config drops or misreads changes
+    # the spec that comes back
+    defaults = preset("A")
+    for field in fields(PhantomSpec):
+        assert spec != replace(spec, **{field.name: getattr(defaults, field.name)})
+    for region in (spec.inclusion, spec.background):
+        assert region.eta != spec.applied_stress_kpa / region.young_modulus
+        assert region.gamma != -0.5 * region.eta
+    path = tmp_path / "phantom.cfg"
+    stackio.write_manifest(path, spec_entries(spec))
+    assert stackio.read_config(path) == spec
+
+
 @pytest.mark.parametrize("text, message", [
     ("# comment\nwidth_px: 12\n", "malformed line 2: expected 'key = value'"),
     ("width_px = abc\n", "abc"),
+    ("preset = a\n", "unknown preset 'a'"),
 ])
 def test_config_file_errors_name_the_file_once(tmp_path, text, message):
     path = tmp_path / "phantom.cfg"
