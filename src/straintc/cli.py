@@ -70,7 +70,9 @@ def _one_of(names):
 
 
 def _csv_list(item):
-    return lambda text: tuple(item(part) for part in text.split(",") if part)
+    return _checked(lambda text: tuple(item(part) for part in text.split(",") if part),
+                    lambda v: 0 < len(v) == len(set(v)),
+                    "one or more distinct comma-separated values")
 
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
@@ -235,6 +237,8 @@ def _cmd_reconstruct(args):
             raise UsageError("--method spline requires --mask")
         result = reconstruct_stack(stackio.read_stack(args.stack), stackio.read_mask(args.mask))
     else:
+        if args.mask:
+            raise UsageError("--method kalman takes no --mask")
         spec = KalmanSpec(window_len=args.kalman_window, process_ratio=args.kalman_ratio)
         result = kalman_denoise(stackio.read_stack(args.stack), spec)
     stackio.write_stack(_path(_ensure_outdir(args), "reconstructed.stack"), result)

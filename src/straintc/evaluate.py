@@ -180,6 +180,10 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    for name, values in (("samples", samples), ("methods", methods), ("snrs", snrs),
+                         ("fractions", fractions)):
+        if not 0 < len(values) == len(set(values)):
+            raise ValueError(f"{name} must be distinct and non-empty, got {tuple(values)}")
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected some of {METHODS}")

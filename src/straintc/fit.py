@@ -294,11 +294,9 @@ def _lm_engine(times, values, config, incremental=False):
             stragglers = list(pool.map(first_phase, edges[:-1], edges[1:]))
     else:
         stragglers = list(map(first_phase, edges[:-1], edges[1:]))
-    stragglers = [state for state in stragglers if state[0].size]
-    if stragglers:
-        pooled = [np.concatenate(parts) for parts in zip(*stragglers)]
-        del stragglers
-        iterate(pooled, config.max_iterations - first)
+    pooled = [np.concatenate(parts) for parts in zip(*stragglers)]
+    del stragglers
+    iterate(pooled, config.max_iterations - first)
     return eta, gamma, tau, np.sqrt(cost_out), iterations, converged
 
 

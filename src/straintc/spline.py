@@ -60,8 +60,8 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     in the fit's pixel blocks (15 at 128x128x300, one for a 32x32 stack),
     with the same bits as one whole-image pass and temporaries whose size
     does not grow with the image.  Coefficients are formed only for the
-    intervals that hold a bad frame, and each bad frame is evaluated
-    straight into its output row.
+    intervals that hold a bad frame, and a block's bad frames are evaluated
+    by Horner's rule in one expression.
     """
     if stack.kind != "incremental":
         raise InputError("expected an incremental stack, got a cumulative one")
@@ -86,7 +86,7 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     second_derivatives = _second_derivatives(h)
     idx = np.clip(np.searchsorted(knots, times[bad], side="right") - 1, 0, knots.size - 2)
     intervals, row_of = np.unique(idx, return_inverse=True)
-    dts = times[bad] - knots[idx]
+    dts = (times[bad] - knots[idx])[:, None]
     h_int = h[intervals, None]
     h6_int = 6.0 * h_int
     edges = _block_edges(pixels, n)
@@ -97,14 +97,5 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
         a = (M[intervals + 1] - M[intervals]) / h6_int
         b = M[intervals] / 2.0
         c = slopes[intervals] - h_int * (2.0 * M[intervals] + M[intervals + 1]) / 6.0
-        d = vals[intervals]
-        for k, j, dt in zip(bad, row_of, dts):
-            # Horner's rule ((a dt + b) dt + c) dt + d in place
-            row = flat_out[k, lo:hi]
-            np.multiply(a[j], dt, out=row)
-            row += b[j]
-            row *= dt
-            row += c[j]
-            row *= dt
-            row += d[j]
+        flat_out[bad, lo:hi] = ((a[row_of] * dts + b[row_of]) * dts + c[row_of]) * dts + vals[idx]
     return StrainStack(out, stack.sample_time_s, "incremental")

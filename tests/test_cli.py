@@ -391,7 +391,10 @@ def test_grid_csv_columns(tmp_path):
                                          ("--fractions", "nan"), ("--lm-max-iter", "0"),
                                          ("--lm-tol", "0"), ("--lm-tol", "-1"),
                                          ("--snrs", "nan"), ("--snrs", "inf"),
-                                         ("--snrs", "30,-inf"), ("--seed", "-1")])
+                                         ("--snrs", "30,-inf"), ("--seed", "-1"),
+                                         ("--samples", "A,A"), ("--snrs", "30,30.0"),
+                                         ("--methods", "noisy,noisy"), ("--samples", ","),
+                                         ("--methods", ","), ("--fractions", ",")])
 def test_bad_grid_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     assert main(grid_args(tmp_path / "g", **{flag: value})) == 1
     assert "usage error" in capsys.readouterr().err
@@ -456,7 +459,7 @@ def test_malformed_phantom_config_is_input_error(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("flag, value", [("--kalman-window", "0"), ("--kalman-ratio", "0"),
                                          ("--kalman-ratio", "nan"),
-                                         ("--kalman-ratio", "inf")])
+                                         ("--kalman-ratio", "inf"), ("--mask", "m.csv")])
 def test_bad_reconstruct_kalman_flag_is_usage_error(tmp_path, capsys, flag, value):
     out = tmp_path / "r"
     assert run("reconstruct", "--stack", str(tmp_path / "none.stack"), "--method", "kalman",
@@ -477,7 +480,8 @@ GRID_MANIFEST = {"subcommand": "grid", "samples": "A", "methods": "noisy", "snrs
                                         ("size", "-1"), ("fractions", "0.5,1.5"),
                                         ("lm_max_iter", "0"), ("lm_tol", "inf"),
                                         ("snrs", "nan"), ("snrs", "60,inf"),
-                                        ("seed", "-1"), ("emit_maps", "yes")])
+                                        ("seed", "-1"), ("emit_maps", "yes"),
+                                        ("samples", "A,A"), ("methods", ",")])
 def test_bad_grid_manifest_value_is_input_error(tmp_path, capsys, key, value):
     path = tmp_path / "manifest.txt"
     stackio.write_manifest(path, {**GRID_MANIFEST, key: value})

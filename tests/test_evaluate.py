@@ -192,7 +192,17 @@ def test_grid_rejects_unknown_method_before_any_cell(monkeypatch):
     (dict(fractions=(0.75, 1.5)), "good_frame_fraction"),
     (dict(width=0), "pixel dimensions"),
     (dict(seed=-1), "rng_seed"),
-], ids=["sample", "lower_case_sample", "nan_snr", "inf_snr", "fraction", "width", "seed"])
+    (dict(samples=("A", "A")), "samples must be distinct"),
+    (dict(samples=()), "samples must be distinct and non-empty"),
+    (dict(methods=("noisy", "noisy")), "methods must be distinct"),
+    (dict(methods=()), "methods must be distinct and non-empty"),
+    (dict(snrs=(30, 30.0)), "snrs must be distinct"),
+    (dict(snrs=()), "snrs must be distinct and non-empty"),
+    (dict(fractions=(0.75, 0.75)), "fractions must be distinct"),
+    (dict(fractions=()), "fractions must be distinct and non-empty"),
+], ids=["sample", "lower_case_sample", "nan_snr", "inf_snr", "fraction", "width", "seed",
+        "repeated_sample", "no_sample", "repeated_method", "no_method", "repeated_snr",
+        "no_snr", "repeated_fraction", "no_fraction"])
 def test_grid_rejects_bad_cell_inputs_before_any_cell(monkeypatch, kw, message):
     def unreachable(args):
         raise AssertionError("a cell ran before its inputs were checked")
