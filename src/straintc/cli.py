@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import os
 import sys
 from dataclasses import astuple, fields, replace
@@ -50,14 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _checked(cast, ok, requirement):
+def _checked(cast, ok, requirement=None):
     """Flag type: cast(text) must succeed and satisfy ok, or the flag is a
-    usage error saying what it must be."""
+    usage error saying what it must be.  Without a requirement, ok builds a
+    spec from the value, and the ValueError it raises is the message."""
     def parse(text):
         try:
             value = cast(text)
             good = ok(value)
-        except ValueError:
+        except ValueError as exc:
+            if requirement is None:
+                raise argparse.ArgumentTypeError(str(exc)) from None
             good = False
         if not good:
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
@@ -75,11 +77,15 @@ def _csv_list(item):
                     "one or more distinct comma-separated values")
 
 
+def _spec_field(spec, name):
+    """Flag type of one spec field, read as its default's type: the spec,
+    built with the value in that field, checks it."""
+    return _checked(type(getattr(spec, name)), lambda v: spec(**{name: v}))
+
+
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_finite = _checked(float, math.isfinite, "a finite number")
-_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-_fraction = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_snr = _spec_field(NoiseSpec, "base_snr_db")
+_fraction = _spec_field(NoiseSpec, "good_frame_fraction")
 _pixel = _checked(lambda text: tuple(int(part) for part in text.split(",")),
                   lambda v: len(v) == 2, "row,col integers")
 # a store_true flag as a manifest records it
@@ -93,28 +99,32 @@ _RUN_GRID = inspect.signature(evaluate.run_grid).parameters
 _SETTINGS = {
     "preset": (_one_of(phantom.PRESET_NAMES), "A", "built-in sample preset"),
     "config": (str, None, "phantom config file (key = value lines)"),
-    "width": (_count, None, "override width in pixels"),
-    "height": (_count, None, "override height in pixels"),
-    "frames": (_count, None, "override frame count"),
-    "sample_time_s": (_positive, None, "override sampling time"),
+    "width": (int, None, "override width in pixels"),
+    "height": (int, None, "override height in pixels"),
+    "frames": (int, None, "override frame count"),
+    "sample_time_s": (float, None, "override sampling time"),
     "stack": (str, _REQUIRED, "input strain stack; degrade and spline take an incremental "
               "one, fit takes either kind"),
-    "snr_db": (_finite, 30.0, "base SNR of good frames"),
-    "good_fraction": (_fraction, 0.75, "fraction of frames kept good"),
-    "seed": (_seed, NoiseSpec.rng_seed, "random seed"),
+    "snr_db": (_snr, NoiseSpec.base_snr_db, "base SNR of good frames"),
+    "good_fraction": (_fraction, NoiseSpec.good_frame_fraction,
+                      "fraction of frames kept good"),
+    "seed": (_spec_field(NoiseSpec, "rng_seed"), NoiseSpec.rng_seed, "random seed"),
     "method": (_one_of(("spline", "kalman")), _REQUIRED, "repair method"),
     "mask": (str, None, "frame quality mask CSV (required for spline)"),
-    "kalman_window": (_count, KalmanSpec.window_len, "Kalman look-ahead window in frames"),
-    "kalman_ratio": (_positive, KalmanSpec.process_ratio,
+    "kalman_window": (_spec_field(KalmanSpec, "window_len"), KalmanSpec.window_len,
+                      "Kalman look-ahead window in frames"),
+    "kalman_ratio": (_spec_field(KalmanSpec, "process_ratio"), KalmanSpec.process_ratio,
                      "process to measurement noise variance ratio Q/R"),
     "truth": (str, None, "ground-truth tau map CSV for PRE output"),
-    "lm_max_iter": (_count, fit_mod.LMConfig.max_iterations, "LM iteration cap"),
-    "lm_tol": (_positive, fit_mod.LMConfig.rel_tolerance, "LM relative tolerance"),
+    "lm_max_iter": (_spec_field(fit_mod.LMConfig, "max_iterations"),
+                    fit_mod.LMConfig.max_iterations, "LM iteration cap"),
+    "lm_tol": (_spec_field(fit_mod.LMConfig, "rel_tolerance"), fit_mod.LMConfig.rel_tolerance,
+               "LM relative tolerance"),
     "samples": (_csv_list(_one_of(phantom.PRESET_NAMES)), phantom.PRESET_NAMES,
                 "comma-separated sample presets"),
     "methods": (_csv_list(_one_of(evaluate.METHODS)), evaluate.METHODS,
                 "comma-separated methods"),
-    "snrs": (_csv_list(_finite), evaluate.DEFAULT_SNRS, "comma-separated SNRs in dB"),
+    "snrs": (_csv_list(_snr), evaluate.DEFAULT_SNRS, "comma-separated SNRs in dB"),
     "fractions": (_csv_list(_fraction), evaluate.DEFAULT_FRACTIONS,
                   "comma-separated good-frame fractions"),
     "trials": (_count, _RUN_GRID["trials"].default, "trials per cell"),
@@ -187,20 +197,6 @@ def _manifest_entries(args):
             for key, value in vars(args).items() if value is not None and key != "out"}
 
 
-def _as_usage(make, *args, **kwargs):
-    """make(*args, **kwargs); a ValueError means the flags set a value the
-    library rejects, a usage error."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _noise_spec(args):
-    return _as_usage(NoiseSpec, base_snr_db=args.snr_db,
-                     good_frame_fraction=args.good_fraction, rng_seed=args.seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -211,7 +207,10 @@ def _cmd_synth(args):
         spec = stackio.read_config(args.config)
     overrides = {field: getattr(args, flag) for flag, field in _SYNTH_OVERRIDES.items()
                  if getattr(args, flag) is not None}
-    spec = _as_usage(replace, spec, **overrides)
+    try:
+        spec = replace(spec, **overrides)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     outdir = _ensure_outdir(args)
     stackio.write_stack(_path(outdir, "incremental.stack"), phantom.synth_incremental(spec))
     stackio.write_stack(_path(outdir, "cumulative.stack"), phantom.synth_cumulative(spec))
@@ -221,7 +220,7 @@ def _cmd_synth(args):
 
 
 def _cmd_degrade(args):
-    spec = _noise_spec(args)
+    spec = NoiseSpec(args.snr_db, args.good_fraction, args.seed)
     stack = stackio.read_stack(args.stack)
     mask = place_bad_frames(stack.n_frames, spec)
     degraded = add_noise(stack, mask, spec)
@@ -336,15 +335,15 @@ def _cmd_grid(args):
 
 
 def _cmd_demo(args):
-    noise = _noise_spec(args)
+    noise = NoiseSpec(args.snr_db, args.good_fraction, args.seed)
     spec = phantom.preset(args.preset, width_px=args.size, height_px=args.size)
     args.pixel = row, col = args.pixel or (spec.height_px // 2, spec.width_px // 2)
     if not (0 <= row < spec.height_px and 0 <= col < spec.width_px):
         raise UsageError(f"pixel {row},{col} outside {spec.height_px}x{spec.width_px} image")
+    mask = place_bad_frames(spec.n_frames, noise)
     outdir = _ensure_outdir(args)
 
     clean = phantom.synth_incremental(spec)
-    mask = place_bad_frames(spec.n_frames, noise)
     degraded = add_noise(clean, mask, noise)
     arms = {"clean": clean,
             "noisy": degraded,

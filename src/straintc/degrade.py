@@ -40,17 +40,18 @@ class NoiseSpec:
     """Corruption protocol: base SNR for good frames, the fraction of frames
     left good, and the seed making it reproducible."""
 
-    base_snr_db: float
-    good_frame_fraction: float
+    base_snr_db: float = 30.0
+    good_frame_fraction: float = 0.75
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.good_frame_fraction <= 1.0:
             raise ValueError(f"good_frame_fraction must lie in (0, 1], got {self.good_frame_fraction}")
-        if not self.base_snr_db > BAD_FRAME_SNR_DB:
-            raise ValueError("base_snr_db must exceed BAD_FRAME_SNR_DB (bad frames are strictly worse)")
+        if not BAD_FRAME_SNR_DB < self.base_snr_db < np.inf:
+            raise ValueError("base_snr_db must exceed BAD_FRAME_SNR_DB (bad frames are strictly "
+                             f"worse) and be finite, got {self.base_snr_db}")
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass

@@ -79,8 +79,8 @@ class LMConfig:
 
     def __post_init__(self):
         for name in ("max_iterations", "rel_tolerance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
     @staticmethod
     def resolve_bounds(times):

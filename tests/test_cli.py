@@ -287,6 +287,14 @@ def test_demo_pixel_bounds(tmp_path):
     assert run("demo", "--size", "16", "--pixel", "99,0", "--out", str(tmp_path / "x")) == 1
 
 
+def test_demo_too_few_good_frames_fails_before_out(tmp_path, capsys):
+    # 1% of 300 frames leaves 3 good ones, fewer than the spline's knots
+    out = tmp_path / "x"
+    assert run("demo", "--size", "8", "--good-fraction", "0.01", "--out", str(out)) == 2
+    assert "insufficient good frames" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_memory_is_resource_failure(tmp_path, monkeypatch, capsys):
     def no_memory(spec):
         raise MemoryError(f"Unable to allocate {spec.width_px}x{spec.height_px} maps")
@@ -391,7 +399,8 @@ def test_grid_csv_columns(tmp_path):
                                          ("--fractions", "nan"), ("--lm-max-iter", "0"),
                                          ("--lm-tol", "0"), ("--lm-tol", "-1"),
                                          ("--snrs", "nan"), ("--snrs", "inf"),
-                                         ("--snrs", "30,-inf"), ("--seed", "-1"),
+                                         ("--snrs", "30,-inf"), ("--snrs", "-5"),
+                                         ("--snrs", "0"), ("--snrs", "30,-5"), ("--seed", "-1"),
                                          ("--samples", "A,A"), ("--snrs", "30,30.0"),
                                          ("--methods", "noisy,noisy"), ("--samples", ","),
                                          ("--methods", ","), ("--fractions", ",")])
@@ -408,10 +417,12 @@ def test_bad_grid_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     ("degrade", "--stack", "none.stack", "--good-fraction", "1.5"),
     ("degrade", "--stack", "none.stack", "--snr-db", "nan"),
     ("degrade", "--stack", "none.stack", "--snr-db", "-5"),
+    ("degrade", "--stack", "none.stack", "--snr-db", "inf"),
     ("degrade", "--stack", "none.stack", "--seed", "-1"),
     ("degrade", "--stack", "none.stack", "--snr-db", "5", "--bad-snr-db", "10"),
     ("fit", "--stack", "none.stack", "--lm-max-iter", "0"),
     ("fit", "--stack", "none.stack", "--lm-tol", "nan"),
+    ("fit", "--stack", "none.stack", "--lm-tol", "inf"),
     ("demo", "--size", "0"), ("demo", "--good-fraction", "0"), ("demo", "--seed", "-1"),
     ("demo", "--snr-db", "nan"), ("demo", "--snr-db", "0"),
     ("demo", "--pixel", "x,y"), ("demo", "--pixel", "3"), ("demo", "--pixel", "1,2,3")])
@@ -480,6 +491,7 @@ GRID_MANIFEST = {"subcommand": "grid", "samples": "A", "methods": "noisy", "snrs
                                         ("size", "-1"), ("fractions", "0.5,1.5"),
                                         ("lm_max_iter", "0"), ("lm_tol", "inf"),
                                         ("snrs", "nan"), ("snrs", "60,inf"),
+                                        ("snrs", "-5"), ("snrs", "0"),
                                         ("seed", "-1"), ("emit_maps", "yes"),
                                         ("samples", "A,A"), ("methods", ",")])
 def test_bad_grid_manifest_value_is_input_error(tmp_path, capsys, key, value):

@@ -59,6 +59,9 @@ def test_noise_spec_validation():
         NoiseSpec(base_snr_db=30.0, good_frame_fraction=0.0)
     with pytest.raises(ValueError):
         NoiseSpec(base_snr_db=30.0, good_frame_fraction=1.5)
+    with pytest.raises(ValueError, match="finite"):
+        NoiseSpec(base_snr_db=np.inf)
+    assert NoiseSpec() == NoiseSpec(30.0, 0.75, 0)
 
 
 def constant_stack(n=40, h=100, w=100, value=1e-3):

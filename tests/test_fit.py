@@ -131,6 +131,8 @@ def test_validation_errors():
         LMConfig(max_iterations=0)
     with pytest.raises(ValueError):
         LMConfig(rel_tolerance=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        LMConfig(rel_tolerance=np.inf)
     # times ending before zero leave no tau interval between the derived bounds
     with pytest.raises(ValueError, match="below tau ceiling"):
         fit_exponential(TIMES - 1000.0, exp_model(TIMES, 0.02, -0.01, 4.66))
