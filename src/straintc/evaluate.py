@@ -22,7 +22,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -110,25 +111,24 @@ def _trial_seed(seed, sample, snr_db, fraction, trial):
     return int(ss.generate_state(1)[0])
 
 
-def _run_cell(args):
-    (sample, snr_db, fraction, methods, trials, seed, width, height,
-     kalman_spec, lm_config, want_maps) = args
-    spec = preset(sample, width_px=width, height_px=height)
+def _run_cell(cell, methods, kalman_spec, lm_config, want_maps):
+    """Run one grid cell, (spec, [(noise, mask), ...]) with a pair per trial.
+
+    Returns |PRE| and coverage as (method, region, trial) arrays (NaN and 0
+    for a region without pixels), each method's denoise-and-fit wall time
+    summed over trials, and, if want_maps, each method's first-trial TC image.
+    """
+    spec, trial_inputs = cell
     clean = synth_incremental(spec)
     truth = tau_map(spec)
     inc_mask = inclusion_mask(spec)
-
-    # a region without pixels returns no row and keeps NaN PRE, coverage 0
-    pres = {(m, r): np.full(trials, np.nan) for m in methods for r in REGIONS}
-    cover = {(m, r): np.zeros(trials) for m in methods for r in REGIONS}
-    wall = {m: 0.0 for m in methods}
+    pre = np.full((len(methods), len(REGIONS), len(trial_inputs)), np.nan)
+    cover = np.zeros(pre.shape)
+    wall = np.zeros(len(methods))
     maps = {}
-    for trial in range(trials):
-        noise = NoiseSpec(base_snr_db=snr_db, good_frame_fraction=fraction,
-                          rng_seed=_trial_seed(seed, sample, snr_db, fraction, trial))
-        mask = place_bad_frames(spec.n_frames, noise)
+    for trial, (noise, mask) in enumerate(trial_inputs):
         degraded = add_noise(clean, mask, noise)
-        for method in methods:
+        for i, method in enumerate(methods):
             start = time.perf_counter()
             # the fit sums the increments block by block and each denoised
             # stack is dropped once fitted, so that at most the clean,
@@ -141,24 +141,14 @@ def _run_cell(args):
                 denoised = degraded
             tc = fit_mod.fit_stack(denoised, lm_config, truth)
             del denoised
-            wall[method] += time.perf_counter() - start
+            wall[i] += time.perf_counter() - start
             for row in compute_pre(tc, inc_mask):
-                pres[method, row.region][trial] = row.pre_percent
-                cover[method, row.region][trial] = row.coverage
+                j = REGIONS.index(row.region)
+                pre[i, j, trial], cover[i, j, trial] = abs(row.pre_percent), row.coverage
             if want_maps and trial == 0:
                 maps[method] = tc
         del degraded
-    results = []
-    for method in methods:
-        for region in REGIONS:
-            vals = np.abs(pres[method, region])
-            results.append(GridResult(
-                sample=sample, method=method, snr_db=snr_db,
-                good_fraction=fraction, region=region, trials=trials,
-                pre_mean=float(vals.mean()), pre_std=float(vals.std()),
-                coverage=float(cover[method, region].mean()),
-                wall_time_s=wall[method]))
-    return results, maps
+    return pre, cover, wall, maps
 
 
 def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
@@ -173,8 +163,9 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
     jobs > 1 cells run in separate processes, at most one per CPU and per
     cell, each fitting on one thread; determinism is unaffected.
     map_callback(sample, method, snr, fraction, tc) receives the first
-    trial's TC image of each cell.  Every cell's inputs are checked before
-    the first cell runs.
+    trial's TC image of each cell.  Every cell's phantom spec, per-trial
+    noise specs and bad-frame masks are built, and so checked, before the
+    first cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -187,28 +178,33 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected some of {METHODS}")
-    for sample in samples:
-        n_frames = preset(sample, width_px=width, height_px=height).n_frames
-        for snr in snrs:
-            if not np.isfinite(snr):
-                raise ValueError(f"SNRs must be finite, got {snr}")
-            for frac in fractions:
-                place_bad_frames(n_frames, NoiseSpec(snr, frac, rng_seed=seed))
-    cells = [(sample, float(snr), float(frac), tuple(methods), trials, seed,
-              width, height, kalman_spec, lm_config, map_callback is not None)
-             for sample in samples for snr in snrs for frac in fractions]
+    specs = {sample: preset(sample, width_px=width, height_px=height) for sample in samples}
+    keys = [(sample, float(snr), float(frac))
+            for sample in samples for snr in snrs for frac in fractions]
+    cells = []
+    for sample, snr, frac in keys:
+        spec, noise = specs[sample], NoiseSpec(snr, frac, seed)
+        noises = [replace(noise, rng_seed=_trial_seed(seed, sample, snr, frac, trial))
+                  for trial in range(trials)]
+        cells.append((spec, [(n, place_bad_frames(spec.n_frames, n)) for n in noises]))
+    run_cell = partial(_run_cell, methods=tuple(methods), kalman_spec=kalman_spec,
+                       lm_config=lm_config, want_maps=map_callback is not None)
     workers = min(jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:
         # one fit thread per worker: the workers already share out the CPUs,
         # so more fit threads gain no time and only add their blocks' memory
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=fit_mod._one_fit_thread) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
+            outcomes = list(pool.map(run_cell, cells))
     else:
-        outcomes = [_run_cell(cell) for cell in cells]
+        outcomes = [run_cell(cell) for cell in cells]
     results = []
-    for (sample, snr, frac, *_), (rows, maps) in zip(cells, outcomes):
-        results.extend(rows)
+    for (sample, snr, frac), (pre, cover, wall, maps) in zip(keys, outcomes):
+        results.extend(GridResult(
+            sample=sample, method=method, snr_db=snr, good_fraction=frac, region=region,
+            trials=trials, pre_mean=float(pre[i, j].mean()), pre_std=float(pre[i, j].std()),
+            coverage=float(cover[i, j].mean()), wall_time_s=float(wall[i]))
+            for i, method in enumerate(methods) for j, region in enumerate(REGIONS))
         if map_callback is not None:
             for method, tc in maps.items():
                 map_callback(sample, method, snr, frac, tc)

@@ -8,6 +8,7 @@ from straintc import fit as fit_mod
 from straintc.degrade import NoiseSpec, add_noise, place_bad_frames
 from straintc.evaluate import compute_pre, detect_bad_frames, format_grid_table, run_grid
 from straintc.fit import LMConfig, TCImage
+from straintc.kalman import KalmanSpec, kalman_denoise
 from straintc.phantom import (InputError, StrainStack, inclusion_mask, preset,
                               synth_cumulative, synth_incremental, tau_map)
 from straintc.spline import reconstruct_stack
@@ -177,7 +178,7 @@ def test_grid_rejects_zero_trials():
 
 
 def test_grid_rejects_unknown_method_before_any_cell(monkeypatch):
-    def unreachable(args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("a cell ran before the methods were checked")
     monkeypatch.setattr(evaluate, "_run_cell", unreachable)
     with pytest.raises(ValueError, match="unknown methods \\['foo'\\]"):
@@ -187,8 +188,8 @@ def test_grid_rejects_unknown_method_before_any_cell(monkeypatch):
 @pytest.mark.parametrize("kw, message", [
     (dict(samples=("A", "Z")), "unknown preset 'Z'"),
     (dict(samples=("a",)), "unknown preset 'a'"),
-    (dict(snrs=(60.0, float("nan"))), "SNRs must be finite"),
-    (dict(snrs=(60.0, float("inf"))), "SNRs must be finite"),
+    (dict(snrs=(60.0, float("nan"))), "base_snr_db .* be finite, got nan"),
+    (dict(snrs=(60.0, float("inf"))), "base_snr_db .* be finite, got inf"),
     (dict(fractions=(0.75, 1.5)), "good_frame_fraction"),
     (dict(width=0), "pixel dimensions"),
     (dict(seed=-1), "rng_seed"),
@@ -204,11 +205,58 @@ def test_grid_rejects_unknown_method_before_any_cell(monkeypatch):
         "repeated_sample", "no_sample", "repeated_method", "no_method", "repeated_snr",
         "no_snr", "repeated_fraction", "no_fraction"])
 def test_grid_rejects_bad_cell_inputs_before_any_cell(monkeypatch, kw, message):
-    def unreachable(args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("a cell ran before its inputs were checked")
     monkeypatch.setattr(evaluate, "_run_cell", unreachable)
     with pytest.raises(ValueError, match=message):
         tiny_grid(**kw)
+
+
+def test_grid_builds_each_phantom_and_mask_once(monkeypatch):
+    # one phantom spec per sample and one mask per cell-trial, built by
+    # run_grid up front and handed to the cells
+    calls = {"preset": 0, "place_bad_frames": 0}
+
+    def counted(name):
+        original = getattr(evaluate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(evaluate, name, counted(name))
+    run_grid(samples=("A", "B"), snrs=(30.0, 60.0), fractions=(0.75,), trials=3,
+             width=8, height=8)
+    assert calls == {"preset": 2, "place_bad_frames": 2 * 2 * 3}
+
+
+def test_grid_rows_aggregate_trials_computed_by_hand():
+    # each trial rebuilt from the protocol's pieces; the rows are the plain
+    # mean and std of |PRE| and the mean coverage over trials
+    res = run_grid(samples=("C",), snrs=(30.0,), fractions=(0.5,), trials=3, seed=4,
+                   width=12, height=12)
+    spec = preset("C", width_px=12, height_px=12)
+    clean, truth, inc = synth_incremental(spec), tau_map(spec), inclusion_mask(spec)
+    arms = {"noisy": lambda degraded, mask: degraded,
+            "kalman": lambda degraded, mask: kalman_denoise(degraded, KalmanSpec()),
+            "spline": reconstruct_stack}
+    pre = {(m, r): [] for m in arms for r in evaluate.REGIONS}
+    cover = {(m, r): [] for m in arms for r in evaluate.REGIONS}
+    for trial in range(3):
+        noise = NoiseSpec(30.0, 0.5, evaluate._trial_seed(4, "C", 30.0, 0.5, trial))
+        mask = place_bad_frames(spec.n_frames, noise)
+        degraded = add_noise(clean, mask, noise)
+        for method, arm in arms.items():
+            for row in compute_pre(fit_mod.fit_stack(arm(degraded, mask), truth=truth), inc):
+                pre[method, row.region].append(abs(row.pre_percent))
+                cover[method, row.region].append(row.coverage)
+    assert [(r.method, r.region) for r in res] == list(pre)
+    for r in res:
+        key = r.method, r.region
+        assert r.trials == 3
+        assert r.pre_mean == np.mean(pre[key]) and r.pre_std == np.std(pre[key])
+        assert r.coverage == np.mean(cover[key])
 
 
 def test_grid_empty_region_is_nan_not_abort():
