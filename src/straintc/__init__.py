@@ -15,8 +15,8 @@ from .degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_frames
 from .evaluate import compute_pre, detect_bad_frames, format_grid_table, run_grid
 from .fit import LMConfig, cumulate, exp_model, fit_exponential, fit_stack
 from .kalman import KalmanSpec, kalman_denoise
-from .phantom import (StrainStack, frame_times, inclusion_mask, preset,
-                      synth_cumulative, synth_incremental, tau_map)
+from .phantom import (StrainStack, frame_times, preset, synth_cumulative,
+                      synth_incremental, tau_map)
 from .spline import reconstruct_stack
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "StrainStack", "FrameQualityMask", "NoiseSpec", "KalmanSpec", "LMConfig",
     # phantom
     "preset", "synth_incremental", "synth_cumulative", "tau_map", "frame_times",
-    "inclusion_mask",
     # degrade
     "place_bad_frames", "add_noise",
     # denoise

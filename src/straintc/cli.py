@@ -244,37 +244,22 @@ def _cmd_reconstruct(args):
     print(f"reconstructed stack ({args.method}) written to {args.out}")
 
 
-def _regions_from_truth(truth):
-    """Split a piecewise-constant truth map into (inclusion, background).
-
-    The inclusion is the unique tau value covering fewer pixels (ties break
-    toward the smaller tau); a uniform map is all background.
-    """
-    values, counts = np.unique(truth, return_counts=True)
-    if values.size == 1:
-        return np.zeros(truth.shape, dtype=bool)
-    if values.size != 2:
-        raise stackio.InputError(
-            f"truth map must hold 1 or 2 distinct values, found {values.size}")
-    inclusion_value = values[np.argmin(counts)]
-    return truth == inclusion_value
-
-
 def _cmd_fit(args):
     stack = stackio.read_stack(args.stack)
     truth = stackio.read_tc_csv(args.truth) if args.truth else None
-    inc_mask = None if truth is None else _regions_from_truth(truth)
     args.cumulated_input = stack.kind == "incremental"
     config = fit_mod.LMConfig(max_iterations=args.lm_max_iter, rel_tolerance=args.lm_tol)
-    tc = fit_mod.fit_stack(stack, config, truth)
+    tc = fit_mod.fit_stack(stack, config)
+    # scored before the output directory exists, so a refused truth map writes nothing
+    pre = None if truth is None else evaluate.compute_pre(tc, truth)
     outdir = _ensure_outdir(args)
     stackio.write_tc_csv(_path(outdir, "tau_map.csv"), tc.tau_map)
     stackio.write_tc_csv(_path(outdir, "converged.csv"), tc.converged_mask.astype(float))
     stackio.write_pgm(_path(outdir, "tau_map.pgm"), tc.tau_map)
-    if truth is not None:
+    if pre is not None:
         stackio.write_csv(_path(outdir, "pre.csv"),
                           [field.name for field in fields(evaluate.PREResult)],
-                          map(astuple, evaluate.compute_pre(tc, inc_mask)))
+                          map(astuple, pre))
     print(f"TC image written to {outdir} "
           f"(converged {tc.converged_mask.mean() * 100:.1f}% of pixels)")
 

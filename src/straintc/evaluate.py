@@ -5,6 +5,10 @@ estimates against the region's true value:
 
     PRE = (mean_estimated_tau - true_tau) / true_tau * 100
 
+The regions come from the ground-truth tau map alone: a uniform map is all
+background; otherwise the inclusion is the value covering fewer pixels
+(ties go to the smaller tau) and the background the other.
+
 It is signed per region; the "whole" summary combines the per-region
 absolute PREs weighted by region pixel count, which is the number the grid
 tables print (a single signed PRE against a single true value would be
@@ -30,7 +34,7 @@ import numpy as np
 from . import fit as fit_mod
 from .degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_frames
 from .kalman import KalmanSpec, kalman_denoise
-from .phantom import InputError, StrainStack, inclusion_mask, preset, synth_incremental, tau_map
+from .phantom import InputError, StrainStack, preset, synth_incremental, tau_map
 from .spline import reconstruct_stack
 
 
@@ -69,25 +73,37 @@ class GridResult:
     wall_time_s: float
 
 
-def compute_pre(tc, inclusion_mask: np.ndarray) -> list[PREResult]:
-    """PRE rows of a TC image: "inclusion", then "background" (each only if
-    its mask has pixels), then "whole".
+def compute_pre(tc, truth) -> list[PREResult]:
+    """PRE rows of a TC image against its truth map: "inclusion", then
+    "background" (each only if it has pixels), then "whole".
 
-    Requires tc.truth_map.  Non-converged pixels are excluded from the mean
-    and reported through coverage instead; a region without converged pixels
+    The truth map gives the regions; it must match tc.tau_map's shape and
+    hold one or two distinct values, each finite and > 0, or it is refused
+    with InputError.  Non-converged pixels are excluded from the mean and
+    reported through coverage instead; a region without converged pixels
     scores NaN PRE and mean with coverage 0.  "whole" weights the regions'
     values by pixel count, so it is NaN when either region is, and equals
     the one region (with |PRE|) when the other has no pixels.
     """
-    if tc.truth_map is None:
-        raise ValueError("compute_pre requires a TC image with a truth map")
-    inclusion_mask = np.asarray(inclusion_mask, dtype=bool)
+    truth = np.asarray(truth, dtype=np.float64)
+    if truth.shape != tc.tau_map.shape:
+        raise InputError(f"truth map shape {truth.shape} does not match the "
+                         f"stack's {tc.tau_map.shape}")
+    if not np.all((truth > 0) & (truth < np.inf)):
+        raise InputError("truth map values must be finite and > 0")
+    values, sizes = np.unique(truth, return_counts=True)
+    if values.size > 2:
+        raise InputError(f"truth map must hold 1 or 2 distinct values, found {values.size}")
+    inclusion = np.zeros(truth.shape, dtype=bool)
+    if values.size == 2:
+        # argmin takes the first of tied sizes, which is the smaller tau
+        inclusion = truth == values[np.argmin(sizes)]
     rows, counts = [], []
-    for region, mask in (("inclusion", inclusion_mask), ("background", ~inclusion_mask)):
+    for region, mask in (("inclusion", inclusion), ("background", ~inclusion)):
         n = int(mask.sum())
         if n:
             sel = mask & tc.converged_mask
-            true_tau = float(tc.truth_map[mask].mean())
+            true_tau = float(truth[mask].mean())
             mean_est = float(tc.tau_map[sel].mean()) if sel.any() else np.nan
             pre = (mean_est - true_tau) / true_tau * 100.0
             rows.append(PREResult(region, pre, mean_est, true_tau, float(sel.sum() / n)))
@@ -121,7 +137,6 @@ def _run_cell(cell, methods, kalman_spec, lm_config, want_maps):
     spec, trial_inputs = cell
     clean = synth_incremental(spec)
     truth = tau_map(spec)
-    inc_mask = inclusion_mask(spec)
     pre = np.full((len(methods), len(REGIONS), len(trial_inputs)), np.nan)
     cover = np.zeros(pre.shape)
     wall = np.zeros(len(methods))
@@ -139,10 +154,10 @@ def _run_cell(cell, methods, kalman_spec, lm_config, want_maps):
                 denoised = reconstruct_stack(degraded, mask)
             else:
                 denoised = degraded
-            tc = fit_mod.fit_stack(denoised, lm_config, truth)
+            tc = fit_mod.fit_stack(denoised, lm_config)
             del denoised
             wall[i] += time.perf_counter() - start
-            for row in compute_pre(tc, inc_mask):
+            for row in compute_pre(tc, truth):
                 j = REGIONS.index(row.region)
                 pre[i, j, trial], cover[i, j, trial] = abs(row.pre_percent), row.coverage
             if want_maps and trial == 0:

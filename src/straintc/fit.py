@@ -29,10 +29,10 @@ one-pixel case of the same engine.
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class LMConfig:
         for name in ("max_iterations", "rel_tolerance"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations}")
 
     @staticmethod
     def resolve_bounds(times):
@@ -107,12 +109,10 @@ class ExpFit:
 
 @dataclass
 class TCImage:
-    """Estimated time-constant map with per-pixel convergence flags and an
-    optional ground-truth map for error evaluation."""
+    """Estimated time-constant map with per-pixel convergence flags."""
 
     tau_map: np.ndarray
     converged_mask: np.ndarray
-    truth_map: Optional[np.ndarray] = None
 
 
 def exp_model(t, eta, gamma, tau):
@@ -320,32 +320,23 @@ def fit_exponential(times, values, config: LMConfig = LMConfig()) -> ExpFit:
                   float(rnorm[0]), int(iters[0]), bool(conv[0]))
 
 
-def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(),
-              truth: Optional[np.ndarray] = None) -> TCImage:
+def fit_stack(stack: StrainStack, config: LMConfig = LMConfig()) -> TCImage:
     """Fit every pixel of a stack and assemble the TC image.
 
     A cumulative stack is fitted as it is.  An incremental one is summed
     into cumulative curves one block of pixels at a time inside the fit, so
     no cumulative stack is allocated; the sums, and so the fit, are bit for
     bit those of fit_stack(cumulate(stack)).  A stack of fewer than
-    MIN_FRAMES frames, and a truth map of another shape or not finite and
-    > 0, are refused with InputError before any fitting.
+    MIN_FRAMES frames is refused with InputError.
     """
     n, height, width = stack.frames.shape
     if n < MIN_FRAMES:
         raise InputError(f"a fit needs at least {MIN_FRAMES} frames, got {n}")
-    if truth is not None:
-        truth = np.asarray(truth, dtype=np.float64)
-        if truth.shape != (height, width):
-            raise InputError(f"truth map shape {truth.shape} does not match the "
-                             f"stack's {(height, width)}")
-        if not np.all((truth > 0) & (truth < np.inf)):
-            raise InputError("truth map values must be finite and > 0")
     times = frame_times(n, stack.sample_time_s)
     values = stack.frames.reshape(n, height * width).T
     _, _, tau, _, _, conv = _lm_engine(times, values, config,
                                        incremental=stack.kind == "incremental")
-    return TCImage(tau.reshape(height, width), conv.reshape(height, width), truth)
+    return TCImage(tau.reshape(height, width), conv.reshape(height, width))
 
 
 def cumulate(stack: StrainStack) -> StrainStack:

@@ -18,6 +18,7 @@ Optimal Filtering, 1979).  It is built once per call as an (n, n) matrix from
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class KalmanSpec:
     def __post_init__(self):
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
+        if not isinstance(self.window_len, numbers.Integral):
+            raise ValueError(f"window_len must be an integer, got {self.window_len}")
         if not (math.isfinite(self.process_ratio) and self.process_ratio > 0):
             raise ValueError(f"process_ratio must be finite and > 0, got {self.process_ratio}")
 

@@ -62,7 +62,7 @@ def test_criterion_1_exact_recovery_round_trip():
     spec = preset("A")
     truth = tau_map(spec)
     start = time.perf_counter()
-    tc = fit_stack(synth_cumulative(spec), truth=truth)
+    tc = fit_stack(synth_cumulative(spec))
     elapsed = time.perf_counter() - start
     rel = np.abs(tc.tau_map - truth) / truth
     report("1 (exact recovery, 128x128x300)",

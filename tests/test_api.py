@@ -12,7 +12,6 @@ import straintc
 PUBLIC_NAMES = {
     "StrainStack", "FrameQualityMask", "NoiseSpec", "KalmanSpec", "LMConfig",
     "preset", "synth_incremental", "synth_cumulative", "tau_map", "frame_times",
-    "inclusion_mask",
     "place_bad_frames", "add_noise",
     "kalman_denoise", "reconstruct_stack",
     "cumulate", "fit_stack", "fit_exponential", "exp_model",
@@ -26,13 +25,22 @@ TRACED_MODULES = ("phantom", "degrade", "spline", "kalman", "fit", "evaluate",
 
 
 def test_public_names_are_pinned():
-    assert len(straintc.__all__) == len(set(straintc.__all__)) == 23
+    assert len(straintc.__all__) == len(set(straintc.__all__)) == 22
     assert set(straintc.__all__) == PUBLIC_NAMES
     assert all(hasattr(straintc, name) for name in straintc.__all__)
     # the package is the only place that declares the public surface
     for info in pkgutil.iter_modules(straintc.__path__):
         module = importlib.import_module(f"straintc.{info.name}")
         assert not hasattr(module, "__all__"), info.name
+
+
+def test_readme_library_example_runs(capsys):
+    # README's "Library use" block, executed as written
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split("'")[1] for line in printed] == ["inclusion", "background", "whole"]
 
 
 def test_no_test_only_code_in_src():

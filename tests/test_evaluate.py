@@ -14,10 +14,10 @@ from straintc.phantom import (InputError, StrainStack, inclusion_mask, preset,
 from straintc.spline import reconstruct_stack
 
 
-def image(tau, truth, converged=None):
+def image(tau, converged=None):
     tau = np.asarray(tau, dtype=float)
     conv = np.ones(tau.shape, bool) if converged is None else converged
-    return TCImage(tau, conv, np.asarray(truth, dtype=float))
+    return TCImage(tau, conv)
 
 
 def disk_mask(h, w, r):
@@ -25,15 +25,13 @@ def disk_mask(h, w, r):
     return (y - (h - 1) / 2) ** 2 + (x - (w - 1) / 2) ** 2 < r ** 2
 
 
-def pre_rows(tc, inc):
-    return {r.region: r for r in compute_pre(tc, inc)}
+def pre_rows(tc, truth):
+    return {r.region: r for r in compute_pre(tc, truth)}
 
 
 def test_pre_identity_is_exactly_zero():
     truth = np.where(disk_mask(16, 16, 4), 4.66, 11.42)
-    tc = image(truth.copy(), truth)
-    inc = disk_mask(16, 16, 4)
-    rows = compute_pre(tc, inc)
+    rows = compute_pre(image(truth.copy()), truth)
     assert [r.region for r in rows] == ["inclusion", "background", "whole"]
     for r in rows:
         assert r.pre_percent == 0.0
@@ -42,16 +40,14 @@ def test_pre_identity_is_exactly_zero():
 def test_pre_doubling_is_plus_100():
     inc = disk_mask(16, 16, 4)
     truth = np.where(inc, 4.66, 11.42)
-    rows = pre_rows(image(np.where(inc, 2 * 4.66, 11.42), truth), inc)
+    rows = pre_rows(image(np.where(inc, 2 * 4.66, 11.42)), truth)
     assert rows["inclusion"].pre_percent == pytest.approx(100.0)
     assert rows["background"].pre_percent == 0.0
 
 
 def test_pre_direct_arithmetic():
-    inc = disk_mask(8, 8, 2)
     truth = np.full((8, 8), 4.0)
-    tc = image(np.full((8, 8), 5.0), truth)
-    r = pre_rows(tc, inc)["background"]
+    r = pre_rows(image(np.full((8, 8), 5.0)), truth)["background"]
     assert r.pre_percent == pytest.approx(25.0)
     assert r.mean_estimated_tau == pytest.approx(5.0)
     assert r.true_tau == pytest.approx(4.0)
@@ -61,7 +57,7 @@ def test_pre_direct_arithmetic():
 def test_pre_sign_retained_per_region():
     inc = disk_mask(16, 16, 4)
     truth = np.where(inc, 4.0, 10.0)
-    rows = pre_rows(image(np.where(inc, 3.0, 10.0), truth), inc)
+    rows = pre_rows(image(np.where(inc, 3.0, 10.0)), truth)
     assert rows["inclusion"].pre_percent == pytest.approx(-25.0)
     # the whole-image summary combines absolute per-region errors
     n_inc = inc.sum()
@@ -71,14 +67,14 @@ def test_pre_sign_retained_per_region():
 
 def test_pre_excludes_non_converged_and_reports_coverage():
     inc = disk_mask(8, 8, 2)
-    truth = np.full((8, 8), 4.0)
-    tau = np.full((8, 8), 4.0)
+    truth = np.where(inc, 2.0, 4.0)
+    tau = truth.copy()
     conv = np.ones((8, 8), bool)
     bg = ~inc
     idx = np.argwhere(bg)[:3]
     tau[tuple(idx.T)] = 400.0
     conv[tuple(idx.T)] = False  # garbage pixels are masked out
-    r = pre_rows(image(tau, truth, conv), inc)["background"]
+    r = pre_rows(image(tau, conv), truth)["background"]
     assert r.pre_percent == 0.0
     assert r.coverage == pytest.approx(1 - 3 / bg.sum())
 
@@ -86,9 +82,9 @@ def test_pre_excludes_non_converged_and_reports_coverage():
 @pytest.mark.filterwarnings("error")
 def test_pre_empty_region_is_nan():
     inc = disk_mask(8, 8, 2)
-    truth = np.full((8, 8), 4.0)
+    truth = np.where(inc, 4.0, 10.0)
     conv = ~inc  # nothing converged inside the inclusion
-    rows = pre_rows(image(truth, truth, conv), inc)
+    rows = pre_rows(image(truth, conv), truth)
     empty = rows["inclusion"]
     assert np.isnan(empty.pre_percent) and np.isnan(empty.mean_estimated_tau)
     assert empty.true_tau == 4.0 and empty.coverage == 0.0
@@ -100,12 +96,13 @@ def test_pre_empty_region_is_nan():
 
 
 def test_pre_empty_inclusion_mask_scores_background_as_whole():
-    # n * x / n with these 99 pixels rounds the last bit of the PRE, so the
-    # lone region is copied to "whole" rather than weighted by its count
+    # a uniform truth map is all background; n * x / n with these 99 pixels
+    # rounds the last bit of the PRE, so the lone region is copied to
+    # "whole" rather than weighted by its count
     rng = np.random.default_rng(0)
     truth = np.full((9, 11), 4.66)
-    tc = image(rng.uniform(3.0, 7.0, (9, 11)), truth, rng.random((9, 11)) < 0.8)
-    rows = compute_pre(tc, np.zeros((9, 11), bool))
+    tc = image(rng.uniform(3.0, 7.0, (9, 11)), rng.random((9, 11)) < 0.8)
+    rows = compute_pre(tc, truth)
     assert [r.region for r in rows] == ["background", "whole"]
     bg, whole = rows
     assert bg.pre_percent > 0
@@ -113,10 +110,37 @@ def test_pre_empty_inclusion_mask_scores_background_as_whole():
         == (bg.pre_percent, bg.mean_estimated_tau, bg.true_tau, bg.coverage)
 
 
+def test_pre_inclusion_is_the_smaller_region_ties_to_the_smaller_tau():
+    # the regions come from the truth map's values, not from their order
+    inc = disk_mask(8, 8, 2)
+    truth = np.where(inc, 11.42, 4.66)
+    rows = pre_rows(image(truth), truth)
+    assert rows["inclusion"].true_tau == 11.42 and rows["background"].true_tau == 4.66
+    half = np.repeat([11.42, 4.66], 32).reshape(8, 8)
+    rows = pre_rows(image(half), half)
+    assert rows["inclusion"].true_tau == 4.66 and rows["background"].true_tau == 11.42
+
+
 def test_pre_requires_truth():
-    tc = TCImage(np.ones((4, 4)), np.ones((4, 4), bool), None)
-    with pytest.raises(ValueError, match="truth"):
-        compute_pre(tc, disk_mask(4, 4, 1))
+    # a truth map is one value per pixel of the image, each finite and > 0,
+    # and two distinct values at most
+    tc = TCImage(np.ones((4, 4)), np.ones((4, 4), bool))
+
+    def one_pixel(value):
+        truth = np.full((4, 4), 4.66)
+        truth[2, 3] = value
+        return truth
+
+    for truth, message in [
+        (None, r"truth map shape \(\) does not match the stack's \(4, 4\)"),
+        (np.ones((4, 5)), r"truth map shape \(4, 5\) does not match the stack's \(4, 4\)"),
+        *((one_pixel(value), "finite and > 0") for value in (-1.0, np.inf, np.nan)),
+        (np.zeros((4, 4)), "finite and > 0"),
+        (np.repeat([4.66, 11.42, 2.0], [10, 4, 2]).reshape(4, 4),
+         "1 or 2 distinct values, found 3"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            compute_pre(tc, truth)
 
 
 def tiny_grid(**kw):
@@ -237,7 +261,7 @@ def test_grid_rows_aggregate_trials_computed_by_hand():
     res = run_grid(samples=("C",), snrs=(30.0,), fractions=(0.5,), trials=3, seed=4,
                    width=12, height=12)
     spec = preset("C", width_px=12, height_px=12)
-    clean, truth, inc = synth_incremental(spec), tau_map(spec), inclusion_mask(spec)
+    clean, truth = synth_incremental(spec), tau_map(spec)
     arms = {"noisy": lambda degraded, mask: degraded,
             "kalman": lambda degraded, mask: kalman_denoise(degraded, KalmanSpec()),
             "spline": reconstruct_stack}
@@ -248,7 +272,7 @@ def test_grid_rows_aggregate_trials_computed_by_hand():
         mask = place_bad_frames(spec.n_frames, noise)
         degraded = add_noise(clean, mask, noise)
         for method, arm in arms.items():
-            for row in compute_pre(fit_mod.fit_stack(arm(degraded, mask), truth=truth), inc):
+            for row in compute_pre(fit_mod.fit_stack(arm(degraded, mask)), truth):
                 pre[method, row.region].append(abs(row.pre_percent))
                 cover[method, row.region].append(row.coverage)
     assert [(r.method, r.region) for r in res] == list(pre)
@@ -277,6 +301,18 @@ def test_grid_region_without_pixels_is_nan_and_whole_is_the_other():
         inc, bg, whole = (res[method, region] for region in evaluate.REGIONS)
         assert np.isnan(inc.pre_mean) and inc.coverage == 0.0
         assert not np.isnan(bg.pre_mean) and bg.coverage > 0
+        assert (whole.pre_mean, whole.coverage) == (bg.pre_mean, bg.coverage)
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_one_pixel_scores_background():
+    # the lone pixel of a 1x1 phantom lies in the inclusion, but its uniform
+    # truth map reads as all background, which is where the grid scores it
+    res = {(r.method, r.region): r for r in tiny_grid(width=1, height=1, trials=1)}
+    for method in evaluate.METHODS:
+        inc, bg, whole = (res[method, region] for region in evaluate.REGIONS)
+        assert np.isnan(inc.pre_mean) and np.isnan(inc.pre_std) and inc.coverage == 0.0
+        assert np.isfinite(bg.pre_mean) and bg.coverage == 1.0
         assert (whole.pre_mean, whole.coverage) == (bg.pre_mean, bg.coverage)
 
 
@@ -394,6 +430,22 @@ def test_region_masks_partition():
     # the inclusion and its complement, the background, split the two tau values
     assert np.array_equal(tau_map(spec) == 4.66, inc)
     assert np.array_equal(tau_map(spec) == 11.42, ~inc)
+
+
+@pytest.mark.parametrize("sample", ["A", "B", "C"])
+def test_truth_regions_are_the_phantom_geometry(sample):
+    # an image converged exactly on the geometric inclusion covers the whole
+    # inclusion compute_pre reads from the truth map and none of its
+    # background: the two agree at every size but 1x1
+    for width, height in ((2, 2), (3, 3), (8, 8), (17, 17), (32, 32), (128, 128),
+                          (20, 12), (9, 31)):
+        spec = preset(sample, width_px=width, height_px=height)
+        inc, truth = inclusion_mask(spec), tau_map(spec)
+        rows = pre_rows(TCImage(truth, inc), truth)
+        assert ("inclusion" in rows) == inc.any()
+        if inc.any():
+            assert rows["inclusion"].coverage == 1.0
+        assert rows["background"].coverage == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,8 @@ def test_stack_wrapper_preserves_shape_and_time():
 def test_spec_validation():
     with pytest.raises(ValueError):
         KalmanSpec(window_len=0)
+    with pytest.raises(ValueError, match="window_len must be an integer, got 2.5"):
+        KalmanSpec(window_len=2.5)
     for ratio in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             KalmanSpec(process_ratio=ratio)
