@@ -265,28 +265,58 @@ _DETECT_WINDOW = 7
 _DETECT_THRESHOLD = 4.0
 _DETECT_MIN_SCALE = 0.01
 
-# min/max sorting networks (Knuth, TAOCP vol. 3, 5.3.4), one per window
-# length: _DETECT_WINDOW and the odd windows it shrinks to at the stack edges
+# min/max median selection networks (Devillard 1998, "Fast median search"),
+# one per window length: _DETECT_WINDOW and the odd windows it shrinks to at
+# the stack edges; comparator (i, j) puts the min in slot i and the max in j
 _MEDIAN_NETWORKS = {
     1: (),
     3: ((0, 1), (1, 2), (0, 1)),
-    5: ((0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)),
-    7: ((0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4),
-        (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)),
+    5: ((0, 1), (3, 4), (0, 3), (1, 4), (1, 2), (2, 3), (1, 2)),
+    7: ((0, 5), (0, 3), (1, 6), (2, 4), (0, 1), (3, 5), (2, 6), (2, 3), (3, 6),
+        (4, 5), (1, 4), (1, 3), (3, 4)),
 }
+
+
+def _read_outputs(network, mid):
+    """Each comparator (i, j) with whether a later comparator or the result
+    reads its min and its max output."""
+    read, steps = {mid}, []
+    for i, j in reversed(network):
+        steps.append((i, j, i in read, j in read))
+        read |= {i, j}
+    return steps[::-1]
+
+
+_MEDIAN_STEPS = {m: _read_outputs(net, m // 2) for m, net in _MEDIAN_NETWORKS.items()}
 
 
 def _median_rows(rows):
     """Elementwise median of an odd number of equal-length rows.
 
-    The middle output of a sorting network is one of the inputs, so this
+    The middle output of a selection network is one of the inputs, so this
     equals np.median(rows, axis=0) but for the sign of a zero where -0.0
     and 0.0 tie.
     """
     rows = list(rows)
-    for i, j in _MEDIAN_NETWORKS[len(rows)]:
-        rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+    for i, j, keep_min, keep_max in _MEDIAN_STEPS[len(rows)]:
+        a, b = rows[i], rows[j]
+        if keep_min:
+            rows[i] = np.minimum(a, b)
+        if keep_max:
+            rows[j] = np.maximum(a, b)
     return rows[len(rows) // 2]
+
+
+def _median(a):
+    """np.median of a 1-D array with no NaN and no -0.0, bit for bit.
+
+    Partitions `a` in place at its middle only (np.median partitions at
+    both middles and the end), so callers pass a fresh temporary.  An even
+    size takes the mean of the two middle values as np.median does.
+    """
+    h = a.size // 2
+    a.partition(h)
+    return a[h] if a.size % 2 else (a[:h].max() + a[h]) / 2
 
 
 def detect_bad_frames(stack: StrainStack) -> FrameQualityMask:
@@ -323,8 +353,8 @@ def detect_bad_frames(stack: StrainStack) -> FrameQualityMask:
         half = min(half_max, k, n - 1 - k)
         ref = _median_rows(frames[k - half:k + half + 1])
         # both inputs are fresh temporaries, so they are partitioned in place
-        dev = np.median(np.abs(frames[k] - ref), overwrite_input=True)
-        mag = np.median(np.abs(ref), overwrite_input=True)
+        dev = _median(np.abs(frames[k] - ref))
+        mag = _median(np.abs(ref))
         rel_dev[k] = dev / max(mag, tiny)
     scale = max(float(np.median(rel_dev)), _DETECT_MIN_SCALE)
     good = rel_dev <= _DETECT_THRESHOLD * scale

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -524,11 +525,13 @@ def test_detector_validation():
         detect_bad_frames(cumulative)
 
 
-# the detector's temporal medians come from min/max sorting networks
+# the detector's temporal medians come from min/max selection networks, and
+# its spatial medians from a one-point partition
 
 def median_loop(frames):
-    """The detector's relative deviations with np.median for the temporal
-    reference, as the comparator networks replaced it."""
+    """The detector's labels with np.median for the temporal reference and
+    the spatial medians, as the comparator networks and _median replaced
+    it."""
     n = frames.shape[0]
     frames = frames.reshape(n, -1)
     half_max = evaluate._DETECT_WINDOW // 2
@@ -559,6 +562,12 @@ def test_median_network_on_every_binary_input(m):
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_median_network_on_every_permutation(m):
+    perms = np.array(list(itertools.permutations(range(m))), dtype=float).T
+    assert np.array_equal(evaluate._median_rows(perms), np.full(perms.shape[1], m // 2))
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
 def test_median_network_equals_np_median(m):
     rng = np.random.default_rng(m)
     specials = np.array([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0])
@@ -575,9 +584,16 @@ def test_median_network_equals_np_median(m):
 
 def _detector_cases():
     """The minimum stack, constant frames, a pure-noise frame in each
-    shrunken edge window, and a degraded 128x128 stack."""
+    shrunken edge window, odd (9x7, 1x1) and tiny even (1x2) pixel counts,
+    and a degraded 128x128 stack."""
     yield np.random.default_rng(8).standard_normal((8, 16, 16))
     yield np.full((30, 8, 8), 2.5e-4)
+    odd = synth_incremental(preset("B", width_px=9, height_px=7, n_frames=40)).frames
+    sigma = np.sqrt(np.mean(odd[17] ** 2))
+    odd[17] = np.random.default_rng(6).standard_normal(odd[17].shape) * sigma
+    yield odd
+    yield np.random.default_rng(9).standard_normal((12, 1, 1))
+    yield np.random.default_rng(10).standard_normal((12, 1, 2))
     clean = synth_incremental(preset("A", width_px=16, height_px=16, n_frames=40)).frames
     rng = np.random.default_rng(5)
     for k in (0, 1, 2, 3, 36, 37, 38, 39):
@@ -594,3 +610,44 @@ def test_detector_equals_np_median_loop():
     for frames in _detector_cases():
         detected = detect_bad_frames(StrainStack(frames, 0.5, "incremental"))
         assert np.array_equal(detected.good, median_loop(frames))
+
+
+def test_detector_leaves_frames_unchanged():
+    # the spatial medians partition their input in place, so they must only
+    # ever see fresh temporaries
+    for frames in _detector_cases():
+        stack = StrainStack(frames, 0.5, "incremental")
+        before = stack.frames.tobytes()
+        detect_bad_frames(stack)
+        assert stack.frames.tobytes() == before
+
+
+_MEDIAN_SPECIALS = np.array([0.0, 5e-324, 2.2e-308, 1.0, 1e300,
+                             np.finfo(np.float64).max, np.inf])
+
+
+def _median_inputs():
+    """Non-negative arrays of sizes 1, 2, 3, 16383 and 16384 with ties,
+    zeros, subnormals, huge values and inf, and 1000 random ones of 300
+    values, about 1% of which a one-point partition leaves with the lower
+    middle value off its sorted place."""
+    for size in (1, 2, 3):
+        for values in itertools.product(_MEDIAN_SPECIALS, repeat=size):
+            yield np.array(values)
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        yield rng.standard_exponential(300)
+    for size in (16383, 16384):
+        yield rng.choice(_MEDIAN_SPECIALS, size=size)
+        yield rng.integers(0, 4, size=size) * 0.25
+        yield rng.standard_exponential(size)
+        yield np.zeros(size)
+
+
+def test_median_equals_np_median_bit_for_bit():
+    for a in _median_inputs():
+        # the mean of the two largest finite values overflows to inf in both
+        with np.errstate(over="ignore"):
+            expected = np.median(a)
+            got = evaluate._median(a.copy())
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), a
