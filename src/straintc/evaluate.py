@@ -143,11 +143,15 @@ def _run_cell(cell, methods, kalman_spec, lm_config, want_maps):
     maps = {}
     for trial, (noise, mask) in enumerate(trial_inputs):
         degraded = add_noise(clean, mask, noise)
+        if trial == len(trial_inputs) - 1:
+            # nothing reads the clean stack after the last noise draw
+            del clean
         for i, method in enumerate(methods):
             start = time.perf_counter()
             # the fit sums the increments block by block and each denoised
-            # stack is dropped once fitted, so that at most the clean,
-            # degraded and denoised stacks and the fit's blocks are alive
+            # stack is dropped once fitted, so that at most the degraded and
+            # denoised stacks and the fit's blocks are alive, and the clean
+            # stack too in every trial of a cell but its last
             if method == "kalman":
                 denoised = kalman_denoise(degraded, kalman_spec)
             elif method == "spline":

@@ -15,8 +15,8 @@ over pixels, each pixel carrying its own parameters, damping and convergence
 state.  Every operation of an iteration acts on each pixel's row alone, so a
 pixel's result does not depend on which other pixels share its batch: it is
 the same bit for bit whether the pixel is fitted alone, in a block or in the
-whole stack.  The engine uses that to save memory traffic.  It fits pixels
-in cache-sized blocks (about 1000 rows of 300 samples) and drops pixels from
+whole stack.  The engine uses that to bound its memory and its work.  It
+fits pixels in blocks (about 1000 rows of 300 samples) and drops pixels from
 a block as they converge.  After a short first phase it pools the pixels
 still iterating in all blocks (the stragglers) into one batch, so a slow
 pixel costs one batch's iterations rather than one per block.  The blocks
@@ -45,8 +45,11 @@ INITIAL_DAMPING = 1e-3
 DAMPING_FACTOR = 10.0
 _DAMPING_CAP = 1e14
 # bytes per (rows, n_samples) float64 array of one pixel block of the fit
-# and of the spline (about 1092 rows at 300 samples), so that a block's arrays
-# stay in cache instead of streaming through memory on every iteration
+# and of the spline (about 1092 rows at 300 samples): blocks bound the
+# temporaries alive at once and give the fit's threads work to share.  The
+# time per row-iteration hardly depends on it: on one thread of a 2-core Xeon
+# VM, 3 iterations over 16384 rows took 0.19-0.29 s at 64 to 4096 rows per
+# block, and 0.42-0.46 s as one block
 _BLOCK_BYTES = 5 << 19
 # iterations each block runs before the pixels still active in all blocks are
 # pooled into one batch: otherwise every block that holds one slow pixel
@@ -135,20 +138,24 @@ def initial_guess(times, values):
     # pairwise but an F-ordered one sample by sample
     eta0 = functools.reduce(np.add, values[:, -n_tail:].T) / n_tail
     gamma0 = values[:, 0] - eta0
-    dev = np.abs(values - eta0[:, None])
+    dev = np.subtract(values, eta0[:, None])
+    np.abs(dev, out=dev)
     crossed = dev <= (np.abs(gamma0) / np.e)[:, None]
     has_crossing = crossed.any(axis=1)
     tau0 = np.where(has_crossing, times[crossed.argmax(axis=1)], times[-1] / 3.0)
     return eta0, gamma0, tau0
 
 
-def _trial(times, y, eta, gamma, tau):
+def _trial(times, y, eta, gamma, tau, out=None):
     """Decay rows E = exp(-t / tau), residual rows y - (eta + gamma * E) and
     their squared norms.  The residual is built in place: the same
-    arithmetic as the written expression without its two temporaries."""
-    E = np.divide(-times[None, :], tau[:, None])
+    arithmetic as the written expression without its two temporaries.
+    out, a pair of arrays shaped like y, receives E and the residual rows
+    instead of two new arrays."""
+    E, resid = out if out is not None else (np.empty(y.shape), np.empty(y.shape))
+    np.divide(-times[None, :], tau[:, None], out=E)
     np.exp(E, out=E)
-    resid = gamma[:, None] * E
+    np.multiply(gamma[:, None], E, out=resid)
     resid += eta[:, None]
     np.subtract(y, resid, out=resid)
     return E, resid, np.einsum("pn,pn->p", resid, resid)
@@ -195,7 +202,9 @@ def _lm_engine(times, values, config, incremental=False):
     arrays, and write disjoint rows of them.  A batch's state is the
     list [rows, y, E, resid, cost]: the output indices of its active pixels,
     their data, decay and residual rows, and current costs, compacted
-    whenever a pixel finishes.
+    whenever a pixel finishes.  A trial step writes its decay and residual
+    rows over E and resid and rebuilds the rejected rows from their kept
+    parameters, so a batch holds no second set of trial rows.
     """
     n_pix, n = values.shape
     tau_floor, tau_ceil = config.resolve_bounds(times)
@@ -206,12 +215,12 @@ def _lm_engine(times, values, config, incremental=False):
     cost_out = np.zeros(n_pix)
 
     def start(lo, hi):
-        # a copy even when the rows are contiguous already, since it may be
-        # summed in place
-        y = np.array(values[lo:hi], order="C")
         if incremental:
-            # along a row, add.accumulate adds in cumulate()'s frame order
-            np.cumsum(y, axis=1, out=y)
+            # along a row, add.accumulate adds in cumulate()'s frame order,
+            # read straight from the strided view
+            y = np.cumsum(values[lo:hi], axis=1, out=np.empty((hi - lo, n)))
+        else:
+            y = np.ascontiguousarray(values[lo:hi])
         e, g, t = initial_guess(times, y)
         t = np.clip(t, tau_floor, tau_ceil)
         degenerate = np.ptp(y, axis=1) == 0.0
@@ -249,7 +258,7 @@ def _lm_engine(times, values, config, incremental=False):
             e_new = e + step[:, 0]
             g_new = g + step[:, 1]
             t_new = np.clip(tv + step[:, 2], tau_floor, tau_ceil)
-            E_new, resid_new, cost_new = _trial(times, y, e_new, g_new, t_new)
+            _, _, cost_new = _trial(times, y, e_new, g_new, t_new, out=(E, resid))
 
             accept = cost_new < cost
             reject = ~accept
@@ -263,13 +272,13 @@ def _lm_engine(times, values, config, incremental=False):
             small_reduction = accept & ((cost - cost_new) <= config.rel_tolerance * cost)
             done = small_reduction | grad_small
 
-            # the trial rows become the current ones, except where rejected
+            # a rejected row gets back the rows of its kept parameters, bit
+            # for bit, since a row's E and residual depend on it alone
             if reject.any():
-                E_new[reject] = E[reject]
-                resid_new[reject] = resid[reject]
+                E[reject], resid[reject], _ = _trial(times, y[reject], e[reject],
+                                                     g[reject], tv[reject])
                 cost_new[reject] = cost[reject]
-            E, resid, cost = E_new, resid_new, cost_new
-            del E_new, resid_new
+            cost = cost_new
             cost_out[rows] = cost
             if done.any():
                 converged[rows[done]] = True

@@ -11,12 +11,14 @@ filtered covariance is then R times a number that depends only on Q/R, and so
 do the gains and smoother coefficients: the whole smoother is one fixed
 linear map along the time axis, the same for every pixel (Rauch, Tung and
 Striebel 1965; fixed-lag smoothing as a linear filter in Anderson and Moore,
-Optimal Filtering, 1979).  It is built once per call as an (n, n) matrix from
-(n, Q/R, window_len) and applied to all pixels with one matrix product.
+Optimal Filtering, 1979).  It is built as an (n, n) matrix from
+(n, Q/R, window_len), kept for the next call with the same three values, and
+applied to all pixels with one matrix product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,8 +44,12 @@ class KalmanSpec:
             raise ValueError(f"process_ratio must be finite and > 0, got {self.process_ratio}")
 
 
+# a few (n, Q/R, window_len) operators stay built: a grid or a run of repairs
+# uses one, and each takes about 10 ms to build at n = 300
+@functools.lru_cache(maxsize=4)
 def _smoother_matrix(n, ratio, window_len):
-    """(n, n) matrix K of the fixed-lag smoother, out = K @ z, with R = 1.
+    """(n, n) matrix K of the fixed-lag smoother, out = K @ z, with R = 1;
+    read-only, since it is shared by every call with the same arguments.
 
     Row k of F holds the filtered estimate x_f[k] as weights on z.  For the
     random-walk model the predicted mean equals the previous filtered mean,
@@ -73,6 +79,7 @@ def _smoother_matrix(n, ratio, window_len):
         rows = slice(0, n - 1 - s)
         Fi = F[s:n - 1]
         K[rows] = Fi + C[s:] * (K[rows] - Fi)
+    K.flags.writeable = False
     return K
 
 

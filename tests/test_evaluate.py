@@ -257,8 +257,9 @@ def test_grid_builds_each_phantom_and_mask_once(monkeypatch):
 
 
 def test_grid_rows_aggregate_trials_computed_by_hand():
-    # each trial rebuilt from the protocol's pieces; the rows are the plain
-    # mean and std of |PRE| and the mean coverage over trials
+    # each trial rebuilt from the protocol's pieces, all from one clean stack,
+    # which a cell keeps until its last trial's noise draw; the rows are the
+    # plain mean and std of |PRE| and the mean coverage over trials
     res = run_grid(samples=("C",), snrs=(30.0,), fractions=(0.5,), trials=3, seed=4,
                    width=12, height=12)
     spec = preset("C", width_px=12, height_px=12)
@@ -361,6 +362,21 @@ def test_full_size_cell_trial_stays_below_four_stacks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * stack_bytes, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_one_trial_full_size_cell_stays_below_three_stacks(monkeypatch):
+    # a cell's last trial drops the clean stack after its noise draw and the
+    # fit's trial steps overwrite their own rows, so a one-trial cell fits
+    # with 2 stacks and two threads' blocks alive (about 98 MiB traced)
+    monkeypatch.setattr(fit_mod, "_fit_threads", 2)
+    stack_bytes = 128 * 128 * 300 * 8
+    tracemalloc.start()
+    try:
+        run_grid(samples=("C",), snrs=(30.0,), fractions=(0.2,), trials=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stack_bytes, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_grid_rows_match_cumulate_then_fit(monkeypatch):

@@ -170,6 +170,37 @@ def test_rejected_step_retries_from_the_kept_point():
     np.testing.assert_allclose([second.eta, second.gamma, second.tau], expected, rtol=1e-9)
 
 
+def test_rejected_rows_are_rebuilt_among_accepted_ones():
+    # the trial overwrites a batch's decay and residual rows and rebuilds the
+    # rejected ones; here the overshooting curve above is rejected in the
+    # first iteration while its neighbours are accepted, then accepted from
+    # its rebuilt rows in the second, while the pure-noise pixel is rejected
+    rng = np.random.default_rng(0)
+    overshoot = exp_model(TIMES, 0.02, -0.01, 1.0) + 1e-4 * rng.standard_normal(300)
+    rng = np.random.default_rng(5)
+    values = np.array([overshoot, 0.01 * rng.standard_normal(300)]
+                      + [exp_model(TIMES, 0.02, -0.01, tau) + 1e-4 * rng.standard_normal(300)
+                         for tau in (4.66, 20.0)])
+    eta, gamma, tau = initial_guess(TIMES, values)
+    params = [(eta, gamma, np.clip(tau, *LMConfig.resolve_bounds(TIMES)))]
+    accepted = []
+    for max_iterations in range(1, 6):
+        config = LMConfig(max_iterations=max_iterations)
+        batch = fit_mod._lm_engine(TIMES, values, config)
+        for i in range(len(values)):
+            alone = fit_mod._lm_engine(TIMES, values[i:i + 1], config)
+            assert all(np.array_equal(b[i:i + 1], a, equal_nan=True)
+                       for b, a in zip(batch, alone)), (max_iterations, i)
+        # a pixel still iterating keeps its parameters exactly when its step
+        # was rejected
+        active = batch[4] == max_iterations
+        moved = np.any([p != q for p, q in zip(batch[:3], params[-1])], axis=0)
+        accepted.append(np.where(active, moved, np.nan))
+        params.append(batch[:3])
+    assert accepted[0].tolist() == [0, 1, 1, 1]
+    assert accepted[1][:2].tolist() == [1, 0]
+
+
 def test_tau_stays_within_bounds():
     # one tenth of the sampling interval up to 100 times the duration
     floor, ceil = LMConfig.resolve_bounds(TIMES)

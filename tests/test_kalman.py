@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from straintc import kalman
 from straintc.kalman import KalmanSpec, kalman_denoise
 from straintc.phantom import StrainStack
 
@@ -165,3 +166,22 @@ def test_empty_series_is_rejected():
 def test_constant_input_default_spec():
     out = denoise(np.full(50, 3.3))
     assert np.allclose(out, 3.3, rtol=0, atol=1e-12)
+
+
+def test_smoother_operator_is_built_once_and_shared_read_only():
+    # the operator of a spec is built on its first use and kept: a second
+    # call gives the same bytes, and no caller can change the shared matrix
+    kalman._smoother_matrix.cache_clear()
+    stack = StrainStack(np.random.default_rng(3).standard_normal((40, 3, 5)), 0.5,
+                        "incremental")
+    first = kalman_denoise(stack).frames
+    second = kalman_denoise(stack).frames
+    assert first.tobytes() == second.tobytes()
+    info = kalman._smoother_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    K = kalman._smoother_matrix(40, 0.01, 13)
+    with pytest.raises(ValueError, match="read-only"):
+        K[0, 0] = 1.0
+    assert kalman._smoother_matrix(40, 0.01, 13) is K
+    others = [kalman._smoother_matrix(*args) for args in ((40, 0.02, 13), (40, 0.01, 12))]
+    assert not any(np.array_equal(K, other) for other in others)
