@@ -109,7 +109,8 @@ def place_bad_frames(n_frames: int, spec: NoiseSpec) -> FrameQualityMask:
     return FrameQualityMask(good)
 
 
-def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> StrainStack:
+def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec,
+              out=None) -> StrainStack:
     """Add i.i.d. zero-mean Gaussian noise to every frame of an incremental
     stack, with per-frame sigma = rms(frame) * 10^(-SNR/20), where SNR is
     spec.base_snr_db on the mask's good frames and BAD_FRAME_SNR_DB on its
@@ -117,6 +118,9 @@ def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> St
 
     Each frame's noise is drawn from its own substream of (seed, frame index),
     so frames are independent and any frame is reproducible in isolation.
+    out, a float64 array shaped like the frames, receives the result in
+    place of a new array; it may be stack.frames itself, which is then
+    overwritten.
     """
     if stack.kind != "incremental":
         raise InputError("expected an incremental stack, got a cumulative one")
@@ -126,10 +130,11 @@ def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> St
     rms = np.sqrt([np.mean(f ** 2) for f in frames])
     snr_db = np.where(mask.good, spec.base_snr_db, BAD_FRAME_SNR_DB)
     sigma = rms * 10.0 ** (-snr_db / 20.0)
-    out = np.empty(frames.shape)
+    out = np.empty(frames.shape) if out is None else out
+    noise = np.empty(frames.shape[1:])
     for n in range(stack.n_frames):
-        # the arithmetic of frames[n] + sigma[n] * noise, without temporaries
-        _rng(spec.rng_seed, _FRAME_STREAM, n).standard_normal(out=out[n])
-        out[n] *= sigma[n]
-        out[n] += frames[n]
+        # frames[n] + sigma[n] * noise, without temporaries
+        _rng(spec.rng_seed, _FRAME_STREAM, n).standard_normal(out=noise)
+        noise *= sigma[n]
+        np.add(frames[n], noise, out=out[n])
     return StrainStack(out, stack.sample_time_s, "incremental")

@@ -3,7 +3,8 @@
     s(t) = eta + gamma * exp(-t / tau)
 
 to per-pixel cumulative strain curves (an incremental stack is summed into
-them block by block, inside the fit).  The Jacobian is analytic
+them block by block, inside the fit, after an optional denoiser has been
+applied to each block).  The Jacobian is analytic
 (d/d_eta = 1, d/d_gamma = exp(-t/tau), d/d_tau = gamma * t/tau^2 * exp(-t/tau))
 and the damping acts on the diagonal of J^T J (Marquardt scaling), which
 keeps the step scale-invariant.  tau is clamped to [T_s / 10, 100 * duration]
@@ -51,6 +52,11 @@ _DAMPING_CAP = 1e14
 # VM, 3 iterations over 16384 rows took 0.19-0.29 s at 64 to 4096 rows per
 # block, and 0.42-0.46 s as one block
 _BLOCK_BYTES = 5 << 19
+# every pixel block but the last holds a multiple of this many pixels: BLAS
+# then gives a block's K @ frames[:, block] the bits of the whole product's
+# columns (OpenBLAS 0.3.31, 1 and 2 threads, pixel counts that are multiples
+# of 8), where 1092-pixel blocks differ in their last 4 columns
+_BLOCK_ALIGN = 64
 # iterations each block runs before the pixels still active in all blocks are
 # pooled into one batch: otherwise every block that holds one slow pixel
 # would pay that pixel's iterations in per-call overhead
@@ -181,15 +187,19 @@ def _normal_equations(times, E, resid, gamma, tau):
 
 def _block_edges(n_pix, n_samples):
     """Edges of the pixel blocks of n_pix rows of n_samples float64 values:
-    the fewest blocks that hold at most _BLOCK_BYTES on average, their sizes
-    differing by at most one row."""
+    the fewest blocks that hold at most _BLOCK_BYTES on average, their row
+    count rounded up to a multiple of _BLOCK_ALIGN, and a last block of the
+    rest."""
     n_blocks = max(1, -(-n_pix * n_samples * 8 // _BLOCK_BYTES))
-    return [n_pix * k // n_blocks for k in range(n_blocks + 1)]
+    rows = max(1, -(-n_pix // (n_blocks * _BLOCK_ALIGN))) * _BLOCK_ALIGN
+    return [0, *range(rows, n_pix, rows), n_pix]
 
 
-def _lm_engine(times, values, config, incremental=False):
+def _lm_engine(times, values, config, incremental=False, denoise=None):
     """Vectorized LM over a (n_pixels, n_samples) batch, of curves or, when
     incremental, of their increments, which each block sums once gathered.
+    denoise, if given, maps each block's (n_samples, rows) frames to new
+    ones before that.
 
     Returns (eta, gamma, tau, residual_norm, iterations, converged) arrays.
     Constant curves are degenerate for this model: they get eta = value,
@@ -199,7 +209,9 @@ def _lm_engine(times, values, config, incremental=False):
     _FIRST_PHASE iterations, up to _fit_threads blocks at a time; the pixels
     still active in all blocks then run the remaining iterations as one
     pooled batch on the calling thread.  Blocks share only the output
-    arrays, and write disjoint rows of them.  A batch's state is the
+    arrays, and write disjoint rows of them.  A row whose step is rejected
+    at the damping cap would repeat it up to the iteration cap, so it stops
+    at once with the cap's count.  A batch's state is the
     list [rows, y, E, resid, cost]: the output indices of its active pixels,
     their data, decay and residual rows, and current costs, compacted
     whenever a pixel finishes.  A trial step writes its decay and residual
@@ -215,12 +227,15 @@ def _lm_engine(times, values, config, incremental=False):
     cost_out = np.zeros(n_pix)
 
     def start(lo, hi):
+        y = values[lo:hi]
+        if denoise is not None:
+            y = denoise(y.T).T
         if incremental:
             # along a row, add.accumulate adds in cumulate()'s frame order,
             # read straight from the strided view
-            y = np.cumsum(values[lo:hi], axis=1, out=np.empty((hi - lo, n)))
+            y = np.cumsum(y, axis=1, out=np.empty((hi - lo, n)))
         else:
-            y = np.ascontiguousarray(values[lo:hi])
+            y = np.ascontiguousarray(y)
         e, g, t = initial_guess(times, y)
         t = np.clip(t, tau_floor, tau_ceil)
         degenerate = np.ptp(y, axis=1) == 0.0
@@ -271,18 +286,23 @@ def _lm_engine(times, values, config, incremental=False):
             lam[rows[reject]] = np.minimum(la[reject] * DAMPING_FACTOR, _DAMPING_CAP)
             small_reduction = accept & ((cost - cost_new) <= config.rel_tolerance * cost)
             done = small_reduction | grad_small
+            # a row rejected at the damping cap would take the same step
+            # again at every iteration up to the cap
+            stalled = reject & (la == _DAMPING_CAP) & ~done
+            iterations[rows[stalled]] = config.max_iterations
+            converged[rows[done]] = True
+            keep = ~(done | stalled)
 
-            # a rejected row gets back the rows of its kept parameters, bit
-            # for bit, since a row's E and residual depend on it alone
-            if reject.any():
-                E[reject], resid[reject], _ = _trial(times, y[reject], e[reject],
-                                                     g[reject], tv[reject])
-                cost_new[reject] = cost[reject]
+            # a rejected row that goes on gets back the rows of its kept
+            # parameters, bit for bit, since a row's E and residual depend
+            # on it alone
+            back = reject & keep
+            if back.any():
+                E[back], resid[back], _ = _trial(times, y[back], e[back], g[back], tv[back])
+            cost_new[reject] = cost[reject]
             cost = cost_new
             cost_out[rows] = cost
-            if done.any():
-                converged[rows[done]] = True
-                keep = ~done
+            if not keep.all():
                 rows, cost = rows[keep], cost[keep]
                 y = y[keep]
                 E = E[keep]
@@ -329,14 +349,17 @@ def fit_exponential(times, values, config: LMConfig = LMConfig()) -> ExpFit:
                   float(rnorm[0]), int(iters[0]), bool(conv[0]))
 
 
-def fit_stack(stack: StrainStack, config: LMConfig = LMConfig()) -> TCImage:
+def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(), denoise=None) -> TCImage:
     """Fit every pixel of a stack and assemble the TC image.
 
     A cumulative stack is fitted as it is.  An incremental one is summed
     into cumulative curves one block of pixels at a time inside the fit, so
     no cumulative stack is allocated; the sums, and so the fit, are bit for
-    bit those of fit_stack(cumulate(stack)).  A stack of fewer than
-    MIN_FRAMES frames is refused with InputError.
+    bit those of fit_stack(cumulate(stack)).  denoise, if given, maps an
+    (n_frames, pixels) block of the frames to a new denoised block (see
+    kalman.smoother and spline.interpolator); it is applied to each block
+    before the sum, so no denoised stack is allocated either.  A stack of
+    fewer than MIN_FRAMES frames is refused with InputError.
     """
     n, height, width = stack.frames.shape
     if n < MIN_FRAMES:
@@ -344,7 +367,8 @@ def fit_stack(stack: StrainStack, config: LMConfig = LMConfig()) -> TCImage:
     times = frame_times(n, stack.sample_time_s)
     values = stack.frames.reshape(n, height * width).T
     _, _, tau, _, _, conv = _lm_engine(times, values, config,
-                                       incremental=stack.kind == "incremental")
+                                       incremental=stack.kind == "incremental",
+                                       denoise=denoise)
     return TCImage(tau.reshape(height, width), conv.reshape(height, width))
 
 

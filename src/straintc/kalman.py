@@ -11,9 +11,10 @@ filtered covariance is then R times a number that depends only on Q/R, and so
 do the gains and smoother coefficients: the whole smoother is one fixed
 linear map along the time axis, the same for every pixel (Rauch, Tung and
 Striebel 1965; fixed-lag smoothing as a linear filter in Anderson and Moore,
-Optimal Filtering, 1979).  It is built as an (n, n) matrix from
-(n, Q/R, window_len), kept for the next call with the same three values, and
-applied to all pixels with one matrix product.
+Optimal Filtering, 1979).  It is built as an (n, n) matrix K from
+(n, Q/R, window_len) and kept for the next call with the same three values.
+kalman_denoise applies it to all pixels with one matrix product; the grid
+applies it to each pixel block inside the fit (smoother).
 """
 
 from __future__ import annotations
@@ -83,15 +84,23 @@ def _smoother_matrix(n, ratio, window_len):
     return K
 
 
+def smoother(n_frames, spec: KalmanSpec = KalmanSpec()):
+    """The smoother as a map on (n_frames, pixels) blocks of frames:
+    block -> K @ block, a new array."""
+    return functools.partial(np.matmul, _smoother_matrix(n_frames, spec.process_ratio,
+                                                         spec.window_len))
+
+
 def kalman_denoise(stack: StrainStack, spec: KalmanSpec = KalmanSpec()) -> StrainStack:
     """Apply the fixed-lag smoother to every pixel of a stack of either
     kind; the result keeps the input's kind.
 
-    All pixels go through one K @ frames product.  BLAS picks its kernel,
-    and with it the order of each sum, by the pixel count, so a pixel's
-    last bits depend on how many pixels share its stack; that is why the
-    grid denoises whole stacks rather than the fit's pixel blocks."""
+    All pixels go through one K @ frames product.  BLAS picks the order of
+    each sum by the shape of the product; the grid's Kalman arm forms it on
+    the fit's 64-pixel-aligned blocks (smoother), which keeps these bits at
+    pixel counts that are multiples of 8, such as 32x32 and 128x128
+    (OpenBLAS 0.3.31, 1 and 2 threads), but not at every other count: the
+    last few columns differed at 16385 pixels on 1 thread, 16383 on 2."""
     n = stack.n_frames
-    K = _smoother_matrix(n, spec.process_ratio, spec.window_len)
-    out = K @ stack.frames.reshape(n, -1)
+    out = smoother(n, spec)(stack.frames.reshape(n, -1))
     return StrainStack(out.reshape(stack.frames.shape), stack.sample_time_s, stack.kind)

@@ -49,39 +49,25 @@ def _second_derivatives(h):
     return solve
 
 
-def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack:
-    """Replace every bad frame of an incremental stack with per-pixel natural
-    spline interpolation over the good frames.
+def interpolator(mask: FrameQualityMask, sample_time_s):
+    """The reconstruction as a map on (n_frames, pixels) blocks of an
+    incremental stack's frames: rebuild(block, out=None) fills out (a new
+    array if None) with the block, its bad frames replaced by the natural
+    spline through its good frames, and returns it.
 
     Good frames pass through bit-exactly.  All pixels share the same knot
     times, so the knot spacings, the system's pivots and each bad frame's
-    interval are found once, and the solve is vectorized over pixels.  Every
-    operation acts on each pixel's column alone, so the pixels are rebuilt
-    in the fit's pixel blocks (15 at 128x128x300, one for a 32x32 stack),
-    with the same bits as one whole-image pass and temporaries whose size
-    does not grow with the image.  Coefficients are formed only for the
-    intervals that hold a bad frame, and a block's bad frames are evaluated
-    by Horner's rule in one expression.
+    interval are found once, here, and the solve is vectorized over a
+    block's pixels.  Every operation acts on each pixel's column alone, so
+    any split of the pixels into blocks gives the same bits.  Coefficients
+    are formed only for the intervals that hold a bad frame, and the bad
+    frames are evaluated by Horner's rule in one expression.
     """
-    if stack.kind != "incremental":
-        raise InputError("expected an incremental stack, got a cumulative one")
-    if stack.n_frames != mask.n_frames:
-        raise InputError(f"mask has {mask.n_frames} frames but the stack has {stack.n_frames}")
     if mask.n_good < MIN_KNOTS:
         raise ValueError(f"insufficient good frames: need >= {MIN_KNOTS}, got {mask.n_good}")
-    bad = mask.bad_indices
-    out = stack.frames.copy()
-    if bad.size == 0:
-        return StrainStack(out, stack.sample_time_s, "incremental")
-
-    times = frame_times(stack.n_frames, stack.sample_time_s)
-    knots = times[mask.good]
-    n, height, width = stack.frames.shape
-    pixels = height * width
-    flat = stack.frames.reshape(n, pixels)
-    flat_out = out.reshape(n, pixels)
-
-    good = mask.good_indices
+    good, bad = mask.good_indices, mask.bad_indices
+    times = frame_times(mask.n_frames, sample_time_s)
+    knots = times[good]
     h = np.diff(knots)
     second_derivatives = _second_derivatives(h)
     idx = np.clip(np.searchsorted(knots, times[bad], side="right") - 1, 0, knots.size - 2)
@@ -89,13 +75,39 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     dts = (times[bad] - knots[idx])[:, None]
     h_int = h[intervals, None]
     h6_int = 6.0 * h_int
-    edges = _block_edges(pixels, n)
+
+    def rebuild(block, out=None):
+        out = np.empty(block.shape) if out is None else out
+        vals = out[good] = block[good]
+        if bad.size:
+            slopes = np.diff(vals, axis=0) / h[:, None]
+            M = second_derivatives(slopes)
+            a = (M[intervals + 1] - M[intervals]) / h6_int
+            b = M[intervals] / 2.0
+            c = slopes[intervals] - h_int * (2.0 * M[intervals] + M[intervals + 1]) / 6.0
+            out[bad] = ((a[row_of] * dts + b[row_of]) * dts + c[row_of]) * dts + vals[idx]
+        return out
+
+    return rebuild
+
+
+def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack:
+    """Replace every bad frame of an incremental stack with per-pixel natural
+    spline interpolation over the good frames (interpolator).
+
+    The pixels are rebuilt in the fit's pixel blocks (15 at 128x128x300,
+    one for a 32x32 stack), with the same bits as one whole-image pass and
+    temporaries whose size does not grow with the image.
+    """
+    if stack.kind != "incremental":
+        raise InputError("expected an incremental stack, got a cumulative one")
+    if stack.n_frames != mask.n_frames:
+        raise InputError(f"mask has {mask.n_frames} frames but the stack has {stack.n_frames}")
+    rebuild = interpolator(mask, stack.sample_time_s)
+    n = stack.n_frames
+    flat = stack.frames.reshape(n, -1)
+    out = np.empty(flat.shape)
+    edges = _block_edges(flat.shape[1], n)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        vals = flat[good, lo:hi]
-        slopes = np.diff(vals, axis=0) / h[:, None]
-        M = second_derivatives(slopes)
-        a = (M[intervals + 1] - M[intervals]) / h6_int
-        b = M[intervals] / 2.0
-        c = slopes[intervals] - h_int * (2.0 * M[intervals] + M[intervals + 1]) / 6.0
-        flat_out[bad, lo:hi] = ((a[row_of] * dts + b[row_of]) * dts + c[row_of]) * dts + vals[idx]
-    return StrainStack(out, stack.sample_time_s, "incremental")
+        rebuild(flat[:, lo:hi], out[:, lo:hi])
+    return StrainStack(out.reshape(stack.frames.shape), stack.sample_time_s, "incremental")

@@ -5,6 +5,8 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import straintc
 
 # The public surface is pinned so that any change to it shows up as an edit
@@ -108,8 +110,12 @@ def test_benchmark_trace_wrappers_install_and_restore(monkeypatch):
         stack = program["phantom"].synth_incremental(
             program["phantom"].preset("A", width_px=8, height_px=8))
         evaluate.detect_bad_frames(stack)
-        # the grid fits incremental stacks, so only a direct call reaches it
+        # the grid fits incremental stacks and denoises them inside the fit,
+        # so only direct calls reach these three
         fit.cumulate(stack)
+        evaluate.kalman_denoise(stack)
+        evaluate.reconstruct_stack(stack, program["degrade"].FrameQualityMask(
+            np.arange(stack.n_frames) % 2 == 0))
         tracer.fit_lm_sample(fit.fit_exponential)
     finally:
         tracer.uninstall()

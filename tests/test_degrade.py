@@ -146,6 +146,10 @@ def test_add_noise_equals_whole_stack_expression(width):
                       for n in range(stack.n_frames)])
     expected = frames + sigma[:, None, None] * noise
     assert np.array_equal(add_noise(stack, mask, ns).frames, expected)
+    # drawn into the stack's own frames, the noise gives the same bits
+    degraded = add_noise(stack, mask, ns, out=stack.frames)
+    assert degraded.frames is stack.frames
+    assert np.array_equal(degraded.frames, expected)
 
 
 def test_add_noise_shape_mismatch():

@@ -9,9 +9,10 @@ from straintc import fit as fit_mod
 from straintc.degrade import NoiseSpec, add_noise, place_bad_frames
 from straintc.fit import (LMConfig, cumulate, exp_model, fit_exponential,
                           fit_stack, initial_guess)
+from straintc.kalman import kalman_denoise, smoother
 from straintc.phantom import (StrainStack, frame_times, param_maps, preset,
                               synth_cumulative, synth_incremental, tau_map)
-from straintc.spline import reconstruct_stack
+from straintc.spline import interpolator, reconstruct_stack
 
 TIMES = frame_times(300, 0.5)
 
@@ -405,7 +406,7 @@ def test_blocked_stack_fit_matches_single_pixel_fits(multi_block_stack, monkeypa
 def test_fit_of_increments_matches_fit_of_cumulate(multi_block_stack, monkeypatch, threads):
     # the fit sums an incremental stack block by block in cumulate()'s
     # order, so it gives the bits of fitting the cumulative stack; 47 of the
-    # 48 rows make 2350 pixels, blocks of 783, 783 and 784
+    # 48 rows make 2350 pixels, blocks of 832, 832 and 686
     monkeypatch.setattr(fit_mod, "_fit_threads", threads)
     frames = np.diff(multi_block_stack.frames[:, :47], axis=0, prepend=0.0)
     inc = StrainStack(frames, 0.5, "incremental")
@@ -450,3 +451,81 @@ def test_max_iterations_bounds_both_phases(multi_block_stack, max_iterations):
     # pixels that never converged ran every allowed iteration (the constant
     # pixel runs none)
     assert set(np.unique(iters[~conv])) == {0, max_iterations}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_denoises_each_block_with_the_bits_of_the_whole_stack(multi_block_stack,
+                                                                  monkeypatch, threads):
+    # the fit applies a denoiser to each of its 3 pixel blocks before the
+    # running sum: the bits of denoising the whole stack, then fitting it;
+    # the 2400 pixels are a multiple of 8, where the Kalman blocks' products
+    # have the whole product's bits
+    monkeypatch.setattr(fit_mod, "_fit_threads", threads)
+    n = multi_block_stack.n_frames
+    inc = StrainStack(np.diff(multi_block_stack.frames, axis=0, prepend=0.0), 0.5,
+                      "incremental")
+    frames = inc.frames.copy()
+    mask = place_bad_frames(n, NoiseSpec(30.0, 0.2, 4))
+    for denoise, denoised in ((smoother(n), kalman_denoise(inc)),
+                              (interpolator(mask, 0.5), reconstruct_stack(inc, mask))):
+        inside = fit_stack(inc, denoise=denoise)
+        whole = fit_stack(cumulate(denoised))
+        assert np.array_equal(inside.tau_map, whole.tau_map, equal_nan=True)
+        assert np.array_equal(inside.converged_mask, whole.converged_mask)
+    assert np.array_equal(inc.frames, frames)
+
+
+@pytest.mark.parametrize("n_pix", [1, 35, 64, 1092, 1093, 2350, 16383, 16384, 16385])
+@pytest.mark.parametrize("block_bytes", [fit_mod._BLOCK_BYTES, 8 * 300 * 8])
+def test_block_edges_cover_every_pixel_once_in_aligned_blocks(monkeypatch, n_pix,
+                                                              block_bytes):
+    monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", block_bytes)
+    edges = fit_mod._block_edges(n_pix, 300)
+    sizes = np.diff(edges)
+    assert edges[0] == 0 and edges[-1] == n_pix and np.all(sizes > 0)
+    assert np.all(sizes[:-1] % fit_mod._BLOCK_ALIGN == 0)
+    # the blocks hold the row count of the fewest blocks within the budget
+    # on average, rounded up to the alignment
+    budget_rows = -(-n_pix // -(-n_pix * 300 * 8 // block_bytes))
+    assert budget_rows <= sizes[0] < budget_rows + fit_mod._BLOCK_ALIGN
+
+
+def test_block_edges_of_a_full_size_stack():
+    # 128 x 128 pixels of 300 samples: 14 blocks of 1152 and one of 256
+    edges = fit_mod._block_edges(128 * 128, 300)
+    assert np.diff(edges).tolist() == [1152] * 14 + [256]
+
+
+def test_rows_stalled_at_the_damping_cap_stop_with_the_cap_iterations(monkeypatch):
+    # frames scaled by 1e306 keep finite running sums (at most 1.5e304), but
+    # every squared residual overflows to inf, so every step is rejected and
+    # the damping climbs to its cap; a row rejected there would repeat the
+    # same iteration up to max_iterations, so it stops with that count
+    spec = preset("A", width_px=8, height_px=8)
+    stack = StrainStack(synth_incremental(spec).frames * 1e306, spec.sample_time_s,
+                        "incremental")
+    n = stack.n_frames
+    t = frame_times(n, spec.sample_time_s)
+    trial = fit_mod._trial
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return trial(*args, **kwargs)
+    monkeypatch.setattr(fit_mod, "_trial", counted)
+    results, n_calls = {}, {}
+    for max_iterations in (40, 200):
+        calls.clear()
+        results[max_iterations] = fit_mod._lm_engine(
+            t, stack.frames.reshape(n, -1).T, LMConfig(max_iterations=max_iterations),
+            incremental=True)
+        n_calls[max_iterations] = len(calls)
+    for cap, (eta, gamma, tau, rnorm, iters, conv) in results.items():
+        assert np.all(iters == cap)
+        assert not conv.any() and np.all(np.isinf(rnorm))
+    # eta, gamma, tau, residual and converged do not depend on the cap
+    for short, long in zip(results[40][:4] + results[40][5:], results[200][:4] + results[200][5:]):
+        assert np.array_equal(short, long, equal_nan=True)
+    # the damping reaches its cap from 1e-3 in 17 rejections, after which
+    # each row stops: one start, then a trial and a rebuild per iteration
+    assert n_calls[40] == n_calls[200] <= 1 + 2 * 18

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from straintc import fit as fit_mod
 from straintc import kalman
-from straintc.kalman import KalmanSpec, kalman_denoise
+from straintc.kalman import KalmanSpec, kalman_denoise, smoother
 from straintc.phantom import StrainStack
 
 
@@ -185,3 +186,22 @@ def test_smoother_operator_is_built_once_and_shared_read_only():
     assert kalman._smoother_matrix(40, 0.01, 13) is K
     others = [kalman._smoother_matrix(*args) for args in ((40, 0.02, 13), (40, 0.01, 12))]
     assert not any(np.array_equal(K, other) for other in others)
+
+
+@pytest.mark.parametrize("height, width", [(128, 128), (129, 128), (100, 120)])
+def test_smoother_on_the_fit_blocks_has_the_bits_of_the_whole_product(height, width):
+    # the grid's Kalman arm applies K to each pixel block inside the fit;
+    # with every block but the last a multiple of 64 pixels, each block's
+    # product has the bits of kalman_denoise's whole product.  That holds at
+    # pixel counts that are multiples of 8, such as these, whose last blocks
+    # hold 256, 192 and 480 pixels.  kalman_denoise's docstring gives counts
+    # where it does not
+    n, pixels = 300, height * width
+    frames = np.random.default_rng(pixels).standard_normal((n, pixels))
+    stack = StrainStack(frames.reshape(n, height, width), 0.5, "incremental")
+    whole = kalman_denoise(stack).frames.reshape(n, pixels)
+    edges = fit_mod._block_edges(pixels, n)
+    assert np.diff(edges)[-1] == {16384: 256, 16512: 192, 12000: 480}[pixels]
+    apply = smoother(n)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        assert np.array_equal(apply(frames[:, lo:hi]), whole[:, lo:hi]), (lo, hi)

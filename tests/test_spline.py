@@ -329,11 +329,13 @@ def all_interval_reconstruction(stack, mask):
 def test_reconstruction_matches_all_interval_formula(fraction, monkeypatch):
     # only the intervals holding a bad frame get coefficients, frames are
     # evaluated one by one, and pixels in the fit's blocks of columns (here a
-    # budget of 8 columns splits 5 x 7 pixels into five blocks of 7): the same
-    # operations, so the same bits; fraction None keeps MIN_KNOTS good
-    # frames, the smallest knot system (one elimination multiplier), and
-    # every mask has bad frames before the first knot and after the last
+    # budget of 8 columns, raised to the 64-column alignment, splits 12 x 16
+    # pixels into three blocks of 64): the same operations, so the same bits;
+    # fraction None keeps MIN_KNOTS good frames, the smallest knot system
+    # (one elimination multiplier), and every mask has bad frames before the
+    # first knot and after the last
     monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 8 * 300 * 8)
+    assert np.diff(fit_mod._block_edges(12 * 16, 300)).tolist() == [64, 64, 64]
     if fraction is None:
         good = np.zeros(300, bool)
         good[[17, 90, 101, 260]] = True
@@ -343,7 +345,7 @@ def test_reconstruction_matches_all_interval_formula(fraction, monkeypatch):
         good[[0, 1, -1]] = False
     mask = FrameQualityMask(good)
     rng = np.random.default_rng(2)
-    stack = StrainStack(rng.standard_normal((300, 5, 7)), 0.5, "incremental")
+    stack = StrainStack(rng.standard_normal((300, 12, 16)), 0.5, "incremental")
     out = reconstruct_stack(stack, mask)
     assert np.array_equal(out.frames, all_interval_reconstruction(stack, mask))
 
@@ -353,6 +355,7 @@ def test_reconstruction_memory_does_not_grow_with_pixels(monkeypatch):
     # temporaries, the same for 1024 and 4096 pixels (4 and 16 blocks)
     n = 60
     monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 8 * n * 256)
+    assert [len(fit_mod._block_edges(side * side, n)) - 1 for side in (32, 64)] == [4, 16]
     mask = mask_for(seed=9, fraction=0.75, n=n)
     beyond = []
     for side in (32, 64):
