@@ -109,8 +109,38 @@ def place_bad_frames(n_frames: int, spec: NoiseSpec) -> FrameQualityMask:
     return FrameQualityMask(good)
 
 
-def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec,
-              out=None) -> StrainStack:
+def _frame_rms(frames):
+    """RMS of each frame of an iterable of frames, each squared on its own."""
+    return np.sqrt([np.mean(f ** 2) for f in frames])
+
+
+def _noise_blocks(rms, mask: FrameQualityMask, spec: NoiseSpec):
+    """The noise of add_noise as a map on successive pixel blocks of an
+    incremental stack, given its frames' RMS.
+
+    add(block) adds the noise to a (n_frames, pixels) block of the stack's
+    (n_frames, height * width) frames in place and returns it.  Frame n's
+    noise comes from its own generator, which every call carries on from
+    where the last one stopped: blocks taken in pixel order get the bits of
+    one whole-frame draw, and the calls must not overlap.
+    """
+    snr_db = np.where(mask.good, spec.base_snr_db, BAD_FRAME_SNR_DB)
+    sigma = rms * 10.0 ** (-snr_db / 20.0)
+    gens = [_rng(spec.rng_seed, _FRAME_STREAM, n) for n in range(mask.n_frames)]
+
+    def add(block):
+        noise = np.empty(block.shape[1])
+        for frame, gen, s in zip(block, gens, sigma):
+            # frame + s * noise, without temporaries
+            gen.standard_normal(out=noise)
+            noise *= s
+            frame += noise
+        return block
+
+    return add
+
+
+def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec) -> StrainStack:
     """Add i.i.d. zero-mean Gaussian noise to every frame of an incremental
     stack, with per-frame sigma = rms(frame) * 10^(-SNR/20), where SNR is
     spec.base_snr_db on the mask's good frames and BAD_FRAME_SNR_DB on its
@@ -118,23 +148,12 @@ def add_noise(stack: StrainStack, mask: FrameQualityMask, spec: NoiseSpec,
 
     Each frame's noise is drawn from its own substream of (seed, frame index),
     so frames are independent and any frame is reproducible in isolation.
-    out, a float64 array shaped like the frames, receives the result in
-    place of a new array; it may be stack.frames itself, which is then
-    overwritten.
     """
     if stack.kind != "incremental":
         raise InputError("expected an incremental stack, got a cumulative one")
     if stack.n_frames != mask.n_frames:
         raise InputError(f"mask has {mask.n_frames} frames but the stack has {stack.n_frames}")
     frames = stack.frames
-    rms = np.sqrt([np.mean(f ** 2) for f in frames])
-    snr_db = np.where(mask.good, spec.base_snr_db, BAD_FRAME_SNR_DB)
-    sigma = rms * 10.0 ** (-snr_db / 20.0)
-    out = np.empty(frames.shape) if out is None else out
-    noise = np.empty(frames.shape[1:])
-    for n in range(stack.n_frames):
-        # frames[n] + sigma[n] * noise, without temporaries
-        _rng(spec.rng_seed, _FRAME_STREAM, n).standard_normal(out=noise)
-        noise *= sigma[n]
-        np.add(frames[n], noise, out=out[n])
-    return StrainStack(out, stack.sample_time_s, "incremental")
+    add = _noise_blocks(_frame_rms(frames), mask, spec)
+    out = add(frames.reshape(stack.n_frames, -1).copy())
+    return StrainStack(out.reshape(frames.shape), stack.sample_time_s, "incremental")

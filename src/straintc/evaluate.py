@@ -24,7 +24,6 @@ stack (matched seeds), so comparisons are paired.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -32,11 +31,14 @@ from functools import partial
 import numpy as np
 
 from . import fit as fit_mod
-from .degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_frames
-# the grid denoises inside the fit and calls neither kalman_denoise nor
-# reconstruct_stack; perfbench's tracer wraps both at these names
+# the grid streams its stacks through the fit and calls none of add_noise,
+# synth_incremental, kalman_denoise or reconstruct_stack; perfbench's tracer
+# wraps them at these names
+from .degrade import (FrameQualityMask, NoiseSpec, _frame_rms, _noise_blocks, add_noise,
+                      place_bad_frames)
 from .kalman import KalmanSpec, kalman_denoise, smoother
-from .phantom import InputError, StrainStack, preset, synth_incremental, tau_map
+from .phantom import (InputError, StrainStack, _incremental_blocks, frame_times, preset,
+                      synth_incremental, tau_map)
 from .spline import interpolator, reconstruct_stack
 
 
@@ -133,41 +135,47 @@ def _run_cell(cell, methods, kalman_spec, lm_config, want_maps):
     """Run one grid cell, (spec, [(noise, mask), ...]) with a pair per trial.
 
     Returns |PRE| and coverage as (method, region, trial) arrays (NaN and 0
-    for a region without pixels), each method's denoise-and-fit wall time
-    summed over trials, and, if want_maps, each method's first-trial TC image.
+    for a region without pixels), the seconds of each method's fit tasks
+    summed over trials, and, if want_maps, each method's first-trial TC
+    image.
+
+    A trial's degraded stack is never built: the fit gathers it one pixel
+    block at a time, each block synthesized for its pixels, given its noise
+    and fitted by every method's arm, then freed.  Every arm fits the same
+    degraded block through its own denoiser, so the rows are bit for bit
+    those of add_noise(synth_incremental(spec), mask, noise), denoised
+    whole by the arm's kalman_denoise or reconstruct_stack and fitted by
+    fit_stack.
     """
     spec, trial_inputs = cell
-    clean = synth_incremental(spec)
     truth = tau_map(spec)
+    n_frames, shape = spec.n_frames, truth.shape
+    times = frame_times(n_frames, spec.sample_time_s)
+    clean = _incremental_blocks(spec)
+    # the noise scales with each whole clean frame's RMS, so the frames are
+    # made for it first, one at a time (20-frame blocks at 128x128 raised
+    # the peak resident memory of 6 one-trial cells from 83 to 87 MiB,
+    # medians of 4 runs on a 2-core VM)
+    rms = _frame_rms(clean(slice(None), slice(k, k + 1)) for k in range(n_frames))
     pre = np.full((len(methods), len(REGIONS), len(trial_inputs)), np.nan)
     cover = np.zeros(pre.shape)
     wall = np.zeros(len(methods))
     maps = {}
     for trial, (noise, mask) in enumerate(trial_inputs):
-        # nothing reads the clean stack after the last noise draw, so that
-        # draw overwrites its frames
-        last = trial == len(trial_inputs) - 1
-        degraded = add_noise(clean, mask, noise, out=clean.frames if last else None)
-        for i, method in enumerate(methods):
-            start = time.perf_counter()
-            # each arm fits the degraded stack, which the fit denoises and
-            # sums block by block: at most the degraded stack, the fit's
-            # blocks and, in every trial of a cell but its last, the clean
-            # stack are alive
-            if method == "kalman":
-                denoise = smoother(spec.n_frames, kalman_spec)
-            elif method == "spline":
-                denoise = interpolator(mask, spec.sample_time_s)
-            else:
-                denoise = None
-            tc = fit_mod.fit_stack(degraded, lm_config, denoise=denoise)
-            wall[i] += time.perf_counter() - start
+        add = _noise_blocks(rms, mask, noise)
+        arms = {"noisy": None, "kalman": smoother(n_frames, kalman_spec),
+                "spline": interpolator(mask, spec.sample_time_s)}
+        fits, seconds = fit_mod._lm_engine(
+            times, lambda lo, hi: add(clean(slice(lo, hi))), truth.size, lm_config,
+            [arms[method] for method in methods], incremental=True)
+        wall += seconds
+        for i, (method, (_, _, tau, _, _, conv)) in enumerate(zip(methods, fits)):
+            tc = fit_mod.TCImage(tau.reshape(shape), conv.reshape(shape))
             for row in compute_pre(tc, truth):
                 j = REGIONS.index(row.region)
                 pre[i, j, trial], cover[i, j, trial] = abs(row.pre_percent), row.coverage
             if want_maps and trial == 0:
                 maps[method] = tc
-        del degraded
     return pre, cover, wall, maps
 
 

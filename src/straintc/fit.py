@@ -3,8 +3,7 @@
     s(t) = eta + gamma * exp(-t / tau)
 
 to per-pixel cumulative strain curves (an incremental stack is summed into
-them block by block, inside the fit, after an optional denoiser has been
-applied to each block).  The Jacobian is analytic
+them block by block, inside the fit).  The Jacobian is analytic
 (d/d_eta = 1, d/d_gamma = exp(-t/tau), d/d_tau = gamma * t/tau^2 * exp(-t/tau))
 and the damping acts on the diagonal of J^T J (Marquardt scaling), which
 keeps the step scale-invariant.  tau is clamped to [T_s / 10, 100 * duration]
@@ -17,21 +16,29 @@ state.  Every operation of an iteration acts on each pixel's row alone, so a
 pixel's result does not depend on which other pixels share its batch: it is
 the same bit for bit whether the pixel is fitted alone, in a block or in the
 whole stack.  The engine uses that to bound its memory and its work.  It
-fits pixels in blocks (about 1000 rows of 300 samples) and drops pixels from
-a block as they converge.  After a short first phase it pools the pixels
+gathers pixels in blocks (about 1000 rows of 300 samples) from a source
+that makes each block on demand, so the stack being fitted need never
+exist whole, and drops pixels from a block as they converge.  It can fit
+several arms at once, each applying its own denoiser to every block
+before the fit.  After a short first phase it pools each arm's pixels
 still iterating in all blocks (the stragglers) into one batch, so a slow
-pixel costs one batch's iterations rather than one per block.  The blocks
-of the first phase run on a thread pool, one thread per CPU (numpy releases
-the interpreter lock inside its array loops); since rows are independent,
-the results are the same as from one thread.  A single curve is just the
-one-pixel case of the same engine.
+pixel costs one batch's iterations rather than one per block.  The
+(block, arm) tasks of the first phase run on a thread pool, one thread per
+CPU (numpy releases the interpreter lock inside its array loops); since
+rows are independent, the results are the same as from one thread.  A
+stack is the one-arm case of the engine, and a single curve its one-pixel
+case.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import numbers
 import os
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -65,7 +72,7 @@ _FIRST_PHASE = 16
 MIN_FRAMES = 4
 
 
-# threads one fit may spread its first-phase blocks over; a run_grid pool
+# threads one fit may spread its first-phase tasks over; a run_grid pool
 # worker lowers it to 1 through _one_fit_thread: its sibling workers already
 # keep the other CPUs busy, so more fit threads there gain no time and each
 # thread's block temporaries raise the worker's peak memory
@@ -195,47 +202,115 @@ def _block_edges(n_pix, n_samples):
     return [0, *range(rows, n_pix, rows), n_pix]
 
 
-def _lm_engine(times, values, config, incremental=False, denoise=None):
-    """Vectorized LM over a (n_pixels, n_samples) batch, of curves or, when
-    incremental, of their increments, which each block sums once gathered.
-    denoise, if given, maps each block's (n_samples, rows) frames to new
-    ones before that.
+def _map_blocks(block_map, stack: StrainStack) -> StrainStack:
+    """The stack, of the same kind, whose (n_frames, pixels) frames are
+    block_map applied to each of the fit's pixel blocks of stack's: the
+    blocks on which the grid denoises inside the fit.  block_map(block, out)
+    writes its result into out, the block's columns of the new frames."""
+    n = stack.n_frames
+    flat = stack.frames.reshape(n, -1)
+    out = np.empty(flat.shape)
+    edges = _block_edges(flat.shape[1], n)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block_map(flat[:, lo:hi], out[:, lo:hi])
+    return StrainStack(out.reshape(stack.frames.shape), stack.sample_time_s, stack.kind)
 
-    Returns (eta, gamma, tau, residual_norm, iterations, converged) arrays.
-    Constant curves are degenerate for this model: they get eta = value,
-    gamma = 0, tau = NaN and converged = False without iterating.
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
+    None where that library or its symbols are absent."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        for name in sorted(os.listdir(libs)):
+            if name.startswith("libscipy_openblas"):
+                lib = ctypes.CDLL(os.path.join(libs, name))
+                get = lib.scipy_openblas_get_num_threads64_
+                set_ = lib.scipy_openblas_set_num_threads64_
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    except (OSError, AttributeError):
+        pass
+    return None
+
+
+@contextlib.contextmanager
+def _fit_pool(threads):
+    """A map that runs its calls on `threads` threads, or the builtin map
+    for one thread, while BLAS runs on one thread.  Otherwise each fit
+    thread's K @ block products would start BLAS threads of their own on
+    the same CPUs; and at some pixel counts a product's last bits depend
+    on BLAS's thread count, which must not make a Kalman arm's result
+    depend on the number of fit threads or worker processes.  The thread
+    count is set back afterwards.  The pool lives only for the block:
+    run_grid forks its worker processes, and no thread may be alive at a
+    fork."""
+    blas = _openblas_threads()
+    before = blas and blas[0]()
+    if blas:
+        blas[1](1)
+    try:
+        if threads < 2:
+            yield map
+        else:
+            with ThreadPoolExecutor(threads) as pool:
+                yield pool.map
+    finally:
+        if blas:
+            blas[1](before)
+
+
+def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=False):
+    """Vectorized LM over n_pix curves or, when incremental, over their
+    increments, which each block sums once gathered; the curves are fitted
+    once per denoiser (an arm).  source(lo, hi) returns the
+    (n_samples, hi - lo) samples of pixels lo to hi - 1; it is called once
+    per pixel block, in pixel order, never by two threads at once, and
+    every arm gathers the block it returns.  A denoiser, unless None, maps
+    the block to a new one for its arm before that (see kalman.smoother
+    and spline.interpolator).
+
+    Returns a list with one (eta, gamma, tau, residual_norm, iterations,
+    converged) tuple of arrays per arm, and an array of the seconds each
+    arm's tasks took (a block's source call counts towards the task that
+    made it).  Constant curves are degenerate for this model: they get
+    eta = value, gamma = 0, tau = NaN and converged = False without
+    iterating.
 
     Pixels run in blocks of _BLOCK_BYTES per (rows, n_samples) array for
-    _FIRST_PHASE iterations, up to _fit_threads blocks at a time; the pixels
-    still active in all blocks then run the remaining iterations as one
-    pooled batch on the calling thread.  Blocks share only the output
-    arrays, and write disjoint rows of them.  A row whose step is rejected
-    at the damping cap would repeat it up to the iteration cap, so it stops
-    at once with the cap's count.  A batch's state is the
-    list [rows, y, E, resid, cost]: the output indices of its active pixels,
+    _FIRST_PHASE iterations, each (block, arm) pair one task, up to
+    _fit_threads tasks at a time; a block's samples are freed once its
+    last arm has gathered them.  Each arm's pixels still active in all
+    blocks then run the remaining iterations as one pooled batch, the arms'
+    batches side by side.  Tasks share only their arm's output arrays, and
+    write disjoint rows of them.  A row whose step is rejected at the
+    damping cap would repeat it up to the iteration cap, so it stops at
+    once with the cap's count.  A batch's state is the list
+    [rows, y, E, resid, cost]: the output indices of its active pixels,
     their data, decay and residual rows, and current costs, compacted
     whenever a pixel finishes.  A trial step writes its decay and residual
     rows over E and resid and rebuilds the rejected rows from their kept
     parameters, so a batch holds no second set of trial rows.
     """
-    n_pix, n = values.shape
+    n = times.size
     tau_floor, tau_ceil = config.resolve_bounds(times)
-    eta, gamma, tau = np.empty(n_pix), np.empty(n_pix), np.empty(n_pix)
-    lam = np.full(n_pix, INITIAL_DAMPING)
-    iterations = np.zeros(n_pix, dtype=np.int64)
-    converged = np.zeros(n_pix, dtype=bool)
-    cost_out = np.zeros(n_pix)
+    # per arm: eta, gamma, tau, damping, iterations, converged, cost
+    outs = [(np.empty(n_pix), np.empty(n_pix), np.empty(n_pix),
+             np.full(n_pix, INITIAL_DAMPING), np.zeros(n_pix, dtype=np.int64),
+             np.zeros(n_pix, dtype=bool), np.zeros(n_pix)) for _ in denoisers]
 
-    def start(lo, hi):
-        y = values[lo:hi]
-        if denoise is not None:
-            y = denoise(y.T).T
+    def start(arm, y, lo):
+        eta, gamma, tau, *_, cost_out = outs[arm]
+        if denoisers[arm] is not None:
+            y = denoisers[arm](y)
+        hi = lo + y.shape[1]
         if incremental:
             # along a row, add.accumulate adds in cumulate()'s frame order,
             # read straight from the strided view
-            y = np.cumsum(y, axis=1, out=np.empty((hi - lo, n)))
+            y = np.cumsum(y.T, axis=1, out=np.empty((hi - lo, n)))
         else:
-            y = np.ascontiguousarray(y)
+            y = np.ascontiguousarray(y.T)
         e, g, t = initial_guess(times, y)
         t = np.clip(t, tau_floor, tau_ceil)
         degenerate = np.ptp(y, axis=1) == 0.0
@@ -251,12 +326,13 @@ def _lm_engine(times, values, config, incremental=False, denoise=None):
         cost_out[rows] = cost
         return [rows, y, E, resid, cost]
 
-    def iterate(state, n_iter):
+    def iterate(arm, state, n_iter):
         # take the only references to the state's arrays, so that each
         # superseded array is freed at once: a block's peak memory is the
         # number of its (rows, n_samples) arrays alive together
         rows, y, E, resid, cost = state
         state.clear()
+        eta, gamma, tau, lam, iterations, converged, cost_out = outs[arm]
         for _ in range(n_iter):
             if rows.size == 0:
                 break
@@ -310,23 +386,48 @@ def _lm_engine(times, values, config, incremental=False, denoise=None):
         return [rows, y, E, resid, cost]
 
     edges = _block_edges(n_pix, n)
+    lock = threading.Lock()
+    # block index -> [its samples, the number of arms yet to gather them]
+    gathered = {}
+    made = 0
+
+    def gather(b):
+        nonlocal made
+        with lock:
+            while made <= b:
+                gathered[made] = [source(edges[made], edges[made + 1]), len(denoisers)]
+                made += 1
+            entry = gathered[b]
+            entry[1] -= 1
+            if not entry[1]:
+                del gathered[b]
+        return entry[0]
+
     first = min(_FIRST_PHASE, config.max_iterations)
+    stragglers = [[] for _ in denoisers]
 
-    def first_phase(lo, hi):
-        return iterate(start(lo, hi), first)
+    def first_phase(b, arm):
+        t0 = time.perf_counter()
+        state = iterate(arm, start(arm, gather(b), edges[b]), first)
+        return state, time.perf_counter() - t0
 
-    threads = min(len(edges) - 1, _fit_threads)
-    # the pool lives only for this call: run_grid forks its worker processes,
-    # and no thread may be alive at a fork
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            stragglers = list(pool.map(first_phase, edges[:-1], edges[1:]))
-    else:
-        stragglers = list(map(first_phase, edges[:-1], edges[1:]))
-    pooled = [np.concatenate(parts) for parts in zip(*stragglers)]
-    del stragglers
-    iterate(pooled, config.max_iterations - first)
-    return eta, gamma, tau, np.sqrt(cost_out), iterations, converged
+    def last_phase(arm):
+        t0 = time.perf_counter()
+        pooled = [np.concatenate(parts) for parts in zip(*stragglers[arm])]
+        stragglers[arm] = None
+        iterate(arm, pooled, config.max_iterations - first)
+        return time.perf_counter() - t0
+
+    tasks = [(b, arm) for b in range(len(edges) - 1) for arm in range(len(denoisers))]
+    seconds = np.zeros(len(denoisers))
+    with _fit_pool(min(len(tasks), _fit_threads)) as run:
+        for (_, arm), (state, dt) in zip(tasks, run(first_phase, *zip(*tasks))):
+            stragglers[arm].append(state)
+            seconds[arm] += dt
+        seconds += list(run(last_phase, range(len(denoisers))))
+    fits = [(eta, gamma, tau, np.sqrt(cost), iterations, converged)
+            for eta, gamma, tau, _, iterations, converged, cost in outs]
+    return fits, seconds
 
 
 def fit_exponential(times, values, config: LMConfig = LMConfig()) -> ExpFit:
@@ -344,31 +445,29 @@ def fit_exponential(times, values, config: LMConfig = LMConfig()) -> ExpFit:
         raise ValueError(f"need at least {MIN_FRAMES} samples, got {times.size}")
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
-    eta, gamma, tau, rnorm, iters, conv = _lm_engine(times, values[None, :], config)
+    [(eta, gamma, tau, rnorm, iters, conv)], _ = _lm_engine(
+        times, lambda lo, hi: values[:, None], 1, config)
     return ExpFit(float(eta[0]), float(gamma[0]), float(tau[0]),
                   float(rnorm[0]), int(iters[0]), bool(conv[0]))
 
 
-def fit_stack(stack: StrainStack, config: LMConfig = LMConfig(), denoise=None) -> TCImage:
+def fit_stack(stack: StrainStack, config: LMConfig = LMConfig()) -> TCImage:
     """Fit every pixel of a stack and assemble the TC image.
 
     A cumulative stack is fitted as it is.  An incremental one is summed
     into cumulative curves one block of pixels at a time inside the fit, so
     no cumulative stack is allocated; the sums, and so the fit, are bit for
-    bit those of fit_stack(cumulate(stack)).  denoise, if given, maps an
-    (n_frames, pixels) block of the frames to a new denoised block (see
-    kalman.smoother and spline.interpolator); it is applied to each block
-    before the sum, so no denoised stack is allocated either.  A stack of
-    fewer than MIN_FRAMES frames is refused with InputError.
+    bit those of fit_stack(cumulate(stack)).  A stack of fewer than
+    MIN_FRAMES frames is refused with InputError.
     """
     n, height, width = stack.frames.shape
     if n < MIN_FRAMES:
         raise InputError(f"a fit needs at least {MIN_FRAMES} frames, got {n}")
     times = frame_times(n, stack.sample_time_s)
-    values = stack.frames.reshape(n, height * width).T
-    _, _, tau, _, _, conv = _lm_engine(times, values, config,
-                                       incremental=stack.kind == "incremental",
-                                       denoise=denoise)
+    values = stack.frames.reshape(n, height * width)
+    [(_, _, tau, _, _, conv)], _ = _lm_engine(
+        times, lambda lo, hi: values[:, lo:hi], height * width, config,
+        incremental=stack.kind == "incremental")
     return TCImage(tau.reshape(height, width), conv.reshape(height, width))
 
 

@@ -13,8 +13,8 @@ linear map along the time axis, the same for every pixel (Rauch, Tung and
 Striebel 1965; fixed-lag smoothing as a linear filter in Anderson and Moore,
 Optimal Filtering, 1979).  It is built as an (n, n) matrix K from
 (n, Q/R, window_len) and kept for the next call with the same three values.
-kalman_denoise applies it to all pixels with one matrix product; the grid
-applies it to each pixel block inside the fit (smoother).
+kalman_denoise and the grid apply it to the same pixel blocks: the one to a
+stack's, the other inside the fit (smoother).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fit import _map_blocks
 from .phantom import StrainStack
 
 
@@ -86,7 +87,7 @@ def _smoother_matrix(n, ratio, window_len):
 
 def smoother(n_frames, spec: KalmanSpec = KalmanSpec()):
     """The smoother as a map on (n_frames, pixels) blocks of frames:
-    block -> K @ block, a new array."""
+    (block, out=None) -> K @ block, written into out if given."""
     return functools.partial(np.matmul, _smoother_matrix(n_frames, spec.process_ratio,
                                                          spec.window_len))
 
@@ -95,12 +96,9 @@ def kalman_denoise(stack: StrainStack, spec: KalmanSpec = KalmanSpec()) -> Strai
     """Apply the fixed-lag smoother to every pixel of a stack of either
     kind; the result keeps the input's kind.
 
-    All pixels go through one K @ frames product.  BLAS picks the order of
-    each sum by the shape of the product; the grid's Kalman arm forms it on
-    the fit's 64-pixel-aligned blocks (smoother), which keeps these bits at
-    pixel counts that are multiples of 8, such as 32x32 and 128x128
-    (OpenBLAS 0.3.31, 1 and 2 threads), but not at every other count: the
-    last few columns differed at 16385 pixels on 1 thread, 16383 on 2."""
-    n = stack.n_frames
-    out = smoother(n, spec)(stack.frames.reshape(n, -1))
-    return StrainStack(out.reshape(stack.frames.shape), stack.sample_time_s, stack.kind)
+    K is applied to the fit's pixel blocks, the blocks on which the grid's
+    Kalman arm applies it inside the fit (smoother).  BLAS picks the order
+    of each sum by the shape of the product, so a pixel's bits follow its
+    block, and the grid's arm has the bits of this function at every pixel
+    count, given the same number of BLAS threads."""
+    return _map_blocks(smoother(stack.n_frames, spec), stack)

@@ -200,21 +200,37 @@ def tau_map(spec: PhantomSpec) -> np.ndarray:
     return param_maps(spec)[2]
 
 
+def _incremental_blocks(spec: PhantomSpec):
+    """The clean incremental stack as a map on blocks of it:
+    block(pixels, frames=slice(None)) returns the (frames, pixels) block of
+    the (n_frames, height * width) frames, a new array.  Every value is
+    formed on its own, so any block has the bits of the same entries of
+    synth_incremental(spec)."""
+    _, gamma, tau = (m.reshape(-1) for m in param_maps(spec))
+    t = frame_times(spec.n_frames, spec.sample_time_s)
+
+    def block(pixels, frames=slice(None)):
+        g, ta = gamma[pixels], tau[pixels]
+        # the arithmetic of -(gamma / tau) * exp(-t / tau) * T_s, built in
+        # place in the one output array
+        out = np.divide(-t[frames, None], ta[None])
+        np.exp(out, out=out)
+        out *= -(g / ta)
+        out *= spec.sample_time_s
+        return out
+
+    return block
+
+
 def synth_incremental(spec: PhantomSpec) -> StrainStack:
     """Clean incremental strain stack.
 
     Frame n holds -(gamma/tau) * exp(-n*T_s/tau) * T_s per pixel, i.e. the
     creep strain rate at t = n*T_s times the frame interval.
     """
-    eta, gamma, tau = param_maps(spec)
-    t = frame_times(spec.n_frames, spec.sample_time_s)
-    # the arithmetic of -(gamma / tau) * exp(-t / tau) * T_s, built in place
-    # in the one output array
-    frames = np.divide(-t[:, None, None], tau[None])
-    np.exp(frames, out=frames)
-    frames *= -(gamma / tau)
-    frames *= spec.sample_time_s
-    return StrainStack(frames, spec.sample_time_s, "incremental")
+    frames = _incremental_blocks(spec)(slice(None))
+    return StrainStack(frames.reshape(spec.n_frames, spec.height_px, spec.width_px),
+                       spec.sample_time_s, "incremental")
 
 
 def synth_cumulative(spec: PhantomSpec) -> StrainStack:

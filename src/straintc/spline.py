@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .degrade import MIN_KNOTS, FrameQualityMask
-from .fit import _block_edges
+from .fit import _map_blocks
 from .phantom import InputError, StrainStack, frame_times
 
 
@@ -103,11 +103,4 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
         raise InputError("expected an incremental stack, got a cumulative one")
     if stack.n_frames != mask.n_frames:
         raise InputError(f"mask has {mask.n_frames} frames but the stack has {stack.n_frames}")
-    rebuild = interpolator(mask, stack.sample_time_s)
-    n = stack.n_frames
-    flat = stack.frames.reshape(n, -1)
-    out = np.empty(flat.shape)
-    edges = _block_edges(flat.shape[1], n)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rebuild(flat[:, lo:hi], out[:, lo:hi])
-    return StrainStack(out.reshape(stack.frames.shape), stack.sample_time_s, "incremental")
+    return _map_blocks(interpolator(mask, stack.sample_time_s), stack)

@@ -107,24 +107,29 @@ def test_benchmark_trace_wrappers_install_and_restore(monkeypatch):
         tracer.request = 0
         evaluate.run_grid(samples=("A",), snrs=(60.0,), fractions=(0.75,), trials=1,
                           width=8, height=8)
-        stack = program["phantom"].synth_incremental(
-            program["phantom"].preset("A", width_px=8, height_px=8))
-        evaluate.detect_bad_frames(stack)
-        # the grid fits incremental stacks and denoises them inside the fit,
-        # so only direct calls reach these three
-        fit.cumulate(stack)
+        # the grid streams its stacks through the fit engine, so only
+        # direct calls reach the wrapped synthesis, noise, denoisers and fits
+        phantom, degrade = program["phantom"], program["degrade"]
+        stack = evaluate.synth_incremental(phantom.preset("A", width_px=8, height_px=8))
+        noise = degrade.NoiseSpec(60.0, 0.75, 0)
+        degraded = evaluate.add_noise(stack, degrade.place_bad_frames(stack.n_frames, noise),
+                                      noise)
+        evaluate.detect_bad_frames(degraded)
+        fit.fit_stack(fit.cumulate(degraded))
         evaluate.kalman_denoise(stack)
-        evaluate.reconstruct_stack(stack, program["degrade"].FrameQualityMask(
+        evaluate.reconstruct_stack(stack, degrade.FrameQualityMask(
             np.arange(stack.n_frames) % 2 == 0))
         tracer.fit_lm_sample(fit.fit_exponential)
     finally:
         tracer.uninstall()
     names = {s.name for s in tracer.spans}
-    assert {"evaluate.run_grid", "fit.fit_stack", "fit.cumulate",
+    # every name wrapped in evaluate and fit
+    assert {"evaluate.run_grid", "phantom.synth_incremental", "degrade.place_bad_frames",
+            "degrade.add_noise", "evaluate.compute_pre", "fit.fit_stack", "fit.cumulate",
             "kalman.kalman_denoise", "spline.reconstruct_stack",
             "evaluate.detect_bad_frames"} <= names
-    assert tracer.counts["fit.pixels"] == 3 * 64
-    assert len(tracer.lm_iterations) == 3 * spans.LM_SAMPLE_PIXELS
+    assert tracer.counts["fit.pixels"] == 64
+    assert len(tracer.lm_iterations) == spans.LM_SAMPLE_PIXELS
     for name, module in program.items():
         after = vars(module)
         assert after.keys() == before[name].keys(), name

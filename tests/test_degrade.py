@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from straintc import degrade
+from straintc import degrade, phantom
 from straintc.degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_frames
 from straintc.phantom import StrainStack, preset, synth_incremental
 
@@ -146,10 +146,24 @@ def test_add_noise_equals_whole_stack_expression(width):
                       for n in range(stack.n_frames)])
     expected = frames + sigma[:, None, None] * noise
     assert np.array_equal(add_noise(stack, mask, ns).frames, expected)
-    # drawn into the stack's own frames, the noise gives the same bits
-    degraded = add_noise(stack, mask, ns, out=stack.frames)
-    assert degraded.frames is stack.frames
-    assert np.array_equal(degraded.frames, expected)
+
+
+@pytest.mark.parametrize("cuts", [[], [1], [5, 64, 300], [100, 101, 639]])
+def test_noise_added_block_by_block_equals_add_noise(cuts):
+    # each frame's generator carries on through the blocks taken in pixel
+    # order, so blocks of any size get add_noise's bits, with the RMS of
+    # frames made one at a time
+    spec_ = preset("C", width_px=64, height_px=10, n_frames=50)
+    stack = synth_incremental(spec_)
+    ns = spec(0.5, snr=30.0, seed=8)
+    mask = place_bad_frames(stack.n_frames, ns)
+    clean = phantom._incremental_blocks(spec_)
+    rms = degrade._frame_rms(clean(slice(None), slice(k, k + 1)) for k in range(50))
+    add = degrade._noise_blocks(rms, mask, ns)
+    edges = [0, *cuts, 640]
+    blocks = [add(clean(slice(lo, hi))) for lo, hi in zip(edges[:-1], edges[1:])]
+    expected = add_noise(stack, mask, ns).frames.reshape(50, 640)
+    assert np.array_equal(np.concatenate(blocks, axis=1), expected)
 
 
 def test_add_noise_shape_mismatch():

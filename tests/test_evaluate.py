@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -318,41 +319,29 @@ def test_grid_one_pixel_scores_background():
         assert (whole.pre_mean, whole.coverage) == (bg.pre_mean, bg.coverage)
 
 
-def test_grid_holds_three_stacks_and_the_larger_block_peak(monkeypatch):
-    # a cell-trial frees each stack once used and holds no cumulative or
-    # denoised one: the clean and degraded stacks are alive with the fit's
-    # or the spline's block temporaries (1.06 and 0.83 stacks at this size),
-    # 3.18 stacks traced in all, under a bound of three stacks, the larger
-    # block peak and a slack of a quarter stack for the masks and maps; one
-    # fit thread keeps the fit's peak independent of scheduling
+def test_two_trial_cell_holds_no_stack(monkeypatch):
+    # a cell-trial synthesizes, degrades and fits its stack one pixel block
+    # at a time, and a cell keeps no stack from one trial to the next; with
+    # one fit thread and 16 blocks of 256 pixels, a 2-trial 64x64 cell
+    # peaks at about half a stack traced (the blocks of one task, the
+    # masks and the maps), where any whole clean or degraded stack would
+    # make it more than one
     monkeypatch.setattr(fit_mod, "_fit_threads", 1)
-    spec = preset("A", width_px=64, height_px=64)
-    noise = NoiseSpec(base_snr_db=30.0, good_frame_fraction=0.75, rng_seed=0)
-    mask = place_bad_frames(spec.n_frames, noise)
-    degraded = add_noise(synth_incremental(spec), mask, noise)
-    stack = degraded.frames.nbytes
+    monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 256 * 300 * 8)
+    assert len(fit_mod._block_edges(64 * 64, 300)) - 1 == 16
+    stack = 64 * 64 * 300 * 8
     tracemalloc.start()
     try:
-        fit_mod.fit_stack(degraded)
-        fit_blocks = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        out = reconstruct_stack(degraded, mask)
-        spline_blocks = tracemalloc.get_traced_memory()[1] - out.frames.nbytes
-        del out
-        tracemalloc.reset_peak()
         run_grid(samples=("A",), snrs=(30.0,), fractions=(0.75,), trials=2, width=64, height=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * stack + max(fit_blocks, spline_blocks) + stack // 4, (
-        f"peak {peak / stack:.2f} stacks, fit blocks {fit_blocks / stack:.2f} "
-        f"stacks, spline blocks {spline_blocks / stack:.2f} stacks")
+    assert peak < stack, f"peak {peak / stack:.2f} stacks"
 
 
 def test_full_size_cell_trial_stays_below_four_stacks(monkeypatch):
-    # a 128x128x300 stack is 37.5 MiB; the fit sums the increments in its
-    # blocks, so a cell-trial holds 3 stacks and two threads' blocks (about
-    # 140 MiB traced), where a whole cumulative stack would make it 4
+    # a 128x128x300 stack is 37.5 MiB; a cell-trial builds none, and this
+    # cell peaks at about 28 MiB traced with two fit threads
     monkeypatch.setattr(fit_mod, "_fit_threads", 2)
     stack_bytes = 128 * 128 * 300 * 8
     tracemalloc.start()
@@ -365,11 +354,8 @@ def test_full_size_cell_trial_stays_below_four_stacks(monkeypatch):
 
 
 def test_one_trial_full_size_cell_stays_below_two_stacks(monkeypatch):
-    # a cell's last trial draws its noise into the clean stack's frames and
-    # every arm's fit denoises and sums the degraded stack block by block,
-    # so a one-trial cell fits with 1 stack and two threads' blocks alive
-    # (about 64 MiB traced, against 98.5 MiB while each arm's denoised stack
-    # was built next to the degraded one)
+    # the costliest one-trial cell peaks at about 32 MiB traced with two fit
+    # threads: the blocks in flight, the masks and the maps
     monkeypatch.setattr(fit_mod, "_fit_threads", 2)
     stack_bytes = 128 * 128 * 300 * 8
     tracemalloc.start()
@@ -382,23 +368,41 @@ def test_one_trial_full_size_cell_stays_below_two_stacks(monkeypatch):
 
 
 def test_grid_rows_match_cumulate_then_fit(monkeypatch):
-    # the grid fits every arm on the degraded incremental stack, which the
-    # fit denoises and sums block by block; denoising the whole stack with
+    # the grid streams each cell-trial through the fit one pixel block at a
+    # time, each block synthesized, given its noise and fitted by all three
+    # arms; synthesizing and degrading the whole stack, denoising it with
     # kalman_denoise or reconstruct_stack, then cumulating and fitting it,
     # gives the same rows, bit for bit, with 16 x 16 pixels in one block and
-    # in four blocks of 64
+    # in four blocks of 64, and 15 x 17 in four blocks, fitted on two threads
+    # whose tasks interleave often (each frame's noise generator must run
+    # through the blocks in pixel order)
     arms = {"noisy": lambda degraded, mask: degraded,
             "kalman": lambda degraded, mask: kalman_denoise(degraded, KalmanSpec()),
             "spline": reconstruct_stack}
     samples, fractions, trials = ("A", "B", "C"), (0.2, 0.75), 2
-    for block_bytes, n_blocks in ((fit_mod._BLOCK_BYTES, 1), (64 * 300 * 8, 4)):
+    monkeypatch.setattr(fit_mod, "_fit_threads", 2)
+    interval = sys.getswitchinterval()
+    for height, width, block_bytes, n_blocks in ((16, 16, fit_mod._BLOCK_BYTES, 1),
+                                                 (16, 16, 64 * 300 * 8, 4),
+                                                 (15, 17, 64 * 300 * 8, 4)):
         monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", block_bytes)
-        assert len(fit_mod._block_edges(16 * 16, 300)) - 1 == n_blocks
-        res = run_grid(samples=samples, snrs=(30.0,), fractions=fractions, trials=trials,
-                       width=16, height=16)
+        assert len(fit_mod._block_edges(height * width, 300)) - 1 == n_blocks
+        sys.setswitchinterval(1e-5)
+        try:
+            res = run_grid(samples=samples, snrs=(30.0,), fractions=fractions, trials=trials,
+                           width=width, height=height)
+            # with one arm, the two threads gather successive blocks
+            spline = run_grid(samples=samples, methods=("spline",), snrs=(30.0,),
+                              fractions=fractions, trials=trials, width=width, height=height)
+        finally:
+            sys.setswitchinterval(interval)
+        scores = [(r.sample, r.method, r.good_fraction, r.region, r.pre_mean, r.pre_std,
+                   r.coverage) for r in res]
+        assert [(r.sample, r.method, r.good_fraction, r.region, r.pre_mean, r.pre_std,
+                 r.coverage) for r in spline] == [row for row in scores if row[1] == "spline"]
         expected = []
         for sample in samples:
-            spec = preset(sample, width_px=16, height_px=16)
+            spec = preset(sample, width_px=width, height_px=height)
             clean, truth = synth_incremental(spec), tau_map(spec)
             for frac in fractions:
                 pre = {(m, r): [] for m in arms for r in evaluate.REGIONS}
@@ -416,8 +420,7 @@ def test_grid_rows_match_cumulate_then_fit(monkeypatch):
                 expected += [(sample, method, frac, region, np.mean(pre[method, region]),
                               np.std(pre[method, region]), np.mean(cover[method, region]))
                              for method, region in pre]
-        assert [(r.sample, r.method, r.good_fraction, r.region, r.pre_mean, r.pre_std,
-                 r.coverage) for r in res] == expected
+        assert scores == expected
 
 
 @pytest.mark.parametrize("jobs, cpus, pools", [(64, 4, [3]), (64, 2, [2]), (2, 8, [2]),

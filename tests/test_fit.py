@@ -17,6 +17,13 @@ from straintc.spline import interpolator, reconstruct_stack
 TIMES = frame_times(300, 0.5)
 
 
+def fit_rows(times, curves, config, **kwargs):
+    """The engine's one-arm result for the (pixels, samples) curves."""
+    [result], _ = fit_mod._lm_engine(times, lambda lo, hi: curves.T[:, lo:hi], len(curves),
+                                     config, **kwargs)
+    return result
+
+
 def test_clean_recovery():
     values = exp_model(TIMES, 0.02, -0.01, 4.66)
     f = fit_exponential(TIMES, values)
@@ -187,9 +194,9 @@ def test_rejected_rows_are_rebuilt_among_accepted_ones():
     accepted = []
     for max_iterations in range(1, 6):
         config = LMConfig(max_iterations=max_iterations)
-        batch = fit_mod._lm_engine(TIMES, values, config)
+        batch = fit_rows(TIMES, values, config)
         for i in range(len(values)):
-            alone = fit_mod._lm_engine(TIMES, values[i:i + 1], config)
+            alone = fit_rows(TIMES, values[i:i + 1], config)
             assert all(np.array_equal(b[i:i + 1], a, equal_nan=True)
                        for b, a in zip(batch, alone)), (max_iterations, i)
         # a pixel still iterating keeps its parameters exactly when its step
@@ -372,7 +379,7 @@ def test_blocked_stack_fit_matches_single_pixel_fits(multi_block_stack, monkeypa
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        eta, gamma, tau, rnorm, iters, conv = fit_mod._lm_engine(
+        eta, gamma, tau, rnorm, iters, conv = fit_rows(
             t, stack.frames.reshape(n, h * w).T, config)
         tc = fit_stack(stack)
     finally:
@@ -445,8 +452,8 @@ def test_max_iterations_bounds_both_phases(multi_block_stack, max_iterations):
     stack = multi_block_stack
     n = stack.n_frames
     t = frame_times(n, stack.sample_time_s)
-    *_, iters, conv = fit_mod._lm_engine(t, stack.frames.reshape(n, -1).T,
-                                         LMConfig(max_iterations=max_iterations))
+    *_, iters, conv = fit_rows(t, stack.frames.reshape(n, -1).T,
+                               LMConfig(max_iterations=max_iterations))
     assert iters.max() == max_iterations
     # pixels that never converged ran every allowed iteration (the constant
     # pixel runs none)
@@ -456,23 +463,99 @@ def test_max_iterations_bounds_both_phases(multi_block_stack, max_iterations):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fit_denoises_each_block_with_the_bits_of_the_whole_stack(multi_block_stack,
                                                                   monkeypatch, threads):
-    # the fit applies a denoiser to each of its 3 pixel blocks before the
-    # running sum: the bits of denoising the whole stack, then fitting it;
-    # the 2400 pixels are a multiple of 8, where the Kalman blocks' products
-    # have the whole product's bits
+    # one engine call fits three arms, each (block, arm) pair a task: the
+    # noisy arm and two that denoise each of the 3 pixel blocks before the
+    # running sum; every arm has the bits of denoising the whole stack, then
+    # fitting it, and the source is asked for each block once, in order
     monkeypatch.setattr(fit_mod, "_fit_threads", threads)
-    n = multi_block_stack.n_frames
+    n, h, w = multi_block_stack.frames.shape
     inc = StrainStack(np.diff(multi_block_stack.frames, axis=0, prepend=0.0), 0.5,
                       "incremental")
     frames = inc.frames.copy()
+    flat = inc.frames.reshape(n, h * w)
     mask = place_bad_frames(n, NoiseSpec(30.0, 0.2, 4))
-    for denoise, denoised in ((smoother(n), kalman_denoise(inc)),
-                              (interpolator(mask, 0.5), reconstruct_stack(inc, mask))):
-        inside = fit_stack(inc, denoise=denoise)
+    asked = []
+
+    def source(lo, hi):
+        asked.append((lo, hi))
+        return flat[:, lo:hi]
+
+    fits, seconds = fit_mod._lm_engine(frame_times(n, 0.5), source, h * w, LMConfig(),
+                                       [None, smoother(n), interpolator(mask, 0.5)],
+                                       incremental=True)
+    edges = fit_mod._block_edges(h * w, n)
+    assert asked == list(zip(edges[:-1], edges[1:])) and len(asked) == 3
+    assert seconds.shape == (3,) and np.all(seconds > 0)
+    for (_, _, tau, _, _, conv), denoised in zip(
+            fits, (inc, kalman_denoise(inc), reconstruct_stack(inc, mask))):
         whole = fit_stack(cumulate(denoised))
-        assert np.array_equal(inside.tau_map, whole.tau_map, equal_nan=True)
-        assert np.array_equal(inside.converged_mask, whole.converged_mask)
+        assert np.array_equal(tau.reshape(h, w), whole.tau_map, equal_nan=True)
+        assert np.array_equal(conv.reshape(h, w), whole.converged_mask)
     assert np.array_equal(inc.frames, frames)
+
+
+def test_source_is_called_once_per_block_in_pixel_order(monkeypatch):
+    # a grid source draws each frame's noise through the blocks in pixel
+    # order, so the engine asks for block b only after block b - 1, also
+    # when four threads take successive blocks of one arm; five fits of 64
+    # blocks of 64 pixels, with a short switch interval so that the threads
+    # interleave
+    monkeypatch.setattr(fit_mod, "_fit_threads", 4)
+    monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 64 * 300 * 8)
+    tau = np.linspace(2.0, 9.0, 64 * 64)
+    curves = exp_model(TIMES[None, :], 0.02, -0.01, tau[:, None])
+    asked = []
+
+    def source(lo, hi):
+        asked.append(lo)
+        return curves.T[:, lo:hi]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fit_mod._lm_engine(TIMES, source, tau.size, LMConfig(max_iterations=2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert asked == list(range(0, 64 * 64, 64)) * 5
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_runs_blas_on_one_thread_and_restores_it(monkeypatch, threads):
+    # the Kalman products of two fit threads would each start BLAS threads
+    # on the same CPUs, and a product's last bits can depend on BLAS's
+    # thread count, so a fit runs BLAS on one thread, whatever its own
+    # thread count, and sets the count back when it ends, also when a task
+    # raises
+    blas = fit_mod._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS has no thread-count symbols")
+    get, set_ = blas
+    monkeypatch.setattr(fit_mod, "_fit_threads", threads)
+    curves = exp_model(TIMES[None, :], 0.02, -0.01, np.linspace(2.0, 9.0, 8)[:, None])
+    seen = []
+
+    def recording(block):
+        seen.append(get())
+        return block
+
+    def failing(block):
+        raise ArithmeticError("denoiser failed")
+
+    original = get()
+    try:
+        set_(2)
+        before = get()
+        [noisy, recorded], _ = fit_mod._lm_engine(
+            TIMES, lambda lo, hi: curves.T[:, lo:hi], 8, LMConfig(), [None, recording])
+        assert seen == [1] and get() == before
+        assert np.array_equal(noisy[2], recorded[2])
+        with pytest.raises(ArithmeticError):
+            fit_mod._lm_engine(TIMES, lambda lo, hi: curves.T[:, lo:hi], 8, LMConfig(),
+                               [None, failing])
+        assert get() == before
+    finally:
+        set_(original)
 
 
 @pytest.mark.parametrize("n_pix", [1, 35, 64, 1092, 1093, 2350, 16383, 16384, 16385])
@@ -516,7 +599,7 @@ def test_rows_stalled_at_the_damping_cap_stop_with_the_cap_iterations(monkeypatc
     results, n_calls = {}, {}
     for max_iterations in (40, 200):
         calls.clear()
-        results[max_iterations] = fit_mod._lm_engine(
+        results[max_iterations] = fit_rows(
             t, stack.frames.reshape(n, -1).T, LMConfig(max_iterations=max_iterations),
             incremental=True)
         n_calls[max_iterations] = len(calls)

@@ -190,18 +190,19 @@ def test_smoother_operator_is_built_once_and_shared_read_only():
 
 @pytest.mark.parametrize("height, width", [(128, 128), (129, 128), (100, 120)])
 def test_smoother_on_the_fit_blocks_has_the_bits_of_the_whole_product(height, width):
-    # the grid's Kalman arm applies K to each pixel block inside the fit;
-    # with every block but the last a multiple of 64 pixels, each block's
-    # product has the bits of kalman_denoise's whole product.  That holds at
-    # pixel counts that are multiples of 8, such as these, whose last blocks
-    # hold 256, 192 and 480 pixels.  kalman_denoise's docstring gives counts
-    # where it does not
+    # kalman_denoise, like the grid's Kalman arm, applies K to the fit's
+    # pixel blocks; with every block but the last a multiple of 64 pixels,
+    # each block's product has the bits of one whole K @ frames product at
+    # pixel counts that are multiples of 8, such as these, whose last
+    # blocks hold 256, 192 and 480 pixels, so blocking left these counts'
+    # bits as they were
     n, pixels = 300, height * width
     frames = np.random.default_rng(pixels).standard_normal((n, pixels))
     stack = StrainStack(frames.reshape(n, height, width), 0.5, "incremental")
-    whole = kalman_denoise(stack).frames.reshape(n, pixels)
+    apply = smoother(n)
+    whole = apply(frames)
     edges = fit_mod._block_edges(pixels, n)
     assert np.diff(edges)[-1] == {16384: 256, 16512: 192, 12000: 480}[pixels]
-    apply = smoother(n)
     for lo, hi in zip(edges[:-1], edges[1:]):
         assert np.array_equal(apply(frames[:, lo:hi]), whole[:, lo:hi]), (lo, hi)
+    assert np.array_equal(kalman_denoise(stack).frames.reshape(n, pixels), whole)
