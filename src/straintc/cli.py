@@ -119,7 +119,7 @@ _SETTINGS = {
     "lm_max_iter": (_spec_field(fit_mod.LMConfig, "max_iterations"),
                     fit_mod.LMConfig.max_iterations, "LM iteration cap"),
     "lm_tol": (_spec_field(fit_mod.LMConfig, "rel_tolerance"), fit_mod.LMConfig.rel_tolerance,
-               "LM relative tolerance"),
+               "LM tolerance: relative on the cost reduction, absolute on max |J^T r|"),
     "samples": (_csv_list(_one_of(phantom.PRESET_NAMES)), phantom.PRESET_NAMES,
                 "comma-separated sample presets"),
     "methods": (_csv_list(_one_of(evaluate.METHODS)), evaluate.METHODS,

@@ -23,7 +23,6 @@ stack (matched seeds), so comparisons are paired.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -217,7 +216,7 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
         cells.append((spec, [(n, place_bad_frames(spec.n_frames, n)) for n in noises]))
     run_cell = partial(_run_cell, methods=tuple(methods), kalman_spec=kalman_spec,
                        lm_config=lm_config, want_maps=map_callback is not None)
-    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    workers = min(jobs, fit_mod._CPUS, len(cells))
     if workers > 1:
         # one fit thread per worker: the workers already share out the CPUs,
         # so more fit threads gain no time and only add their blocks' memory

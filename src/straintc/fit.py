@@ -24,9 +24,9 @@ before the fit.  After a short first phase it pools each arm's pixels
 still iterating in all blocks (the stragglers) into one batch, so a slow
 pixel costs one batch's iterations rather than one per block.  The
 (block, arm) tasks of the first phase run on a thread pool, one thread per
-CPU (numpy releases the interpreter lock inside its array loops); since
-rows are independent, the results are the same as from one thread.  A
-stack is the one-arm case of the engine, and a single curve its one-pixel
+usable CPU (numpy releases the interpreter lock inside its array loops);
+since rows are independent, the results are the same as from one thread.
+A stack is the one-arm case of the engine, and a single curve its one-pixel
 case.
 """
 
@@ -61,8 +61,8 @@ _DAMPING_CAP = 1e14
 _BLOCK_BYTES = 5 << 19
 # every pixel block but the last holds a multiple of this many pixels: BLAS
 # then gives a block's K @ frames[:, block] the bits of the whole product's
-# columns (OpenBLAS 0.3.31, 1 and 2 threads, pixel counts that are multiples
-# of 8), where 1092-pixel blocks differ in their last 4 columns
+# columns at pixel counts that are multiples of 8 (OpenBLAS 0.3.31), so 128x128
+# Kalman results keep their bits (1093-pixel blocks change 72 pixels' series)
 _BLOCK_ALIGN = 64
 # iterations each block runs before the pixels still active in all blocks are
 # pooled into one batch: otherwise every block that holds one slow pixel
@@ -72,11 +72,12 @@ _FIRST_PHASE = 16
 MIN_FRAMES = 4
 
 
-# threads one fit may spread its first-phase tasks over; a run_grid pool
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# threads one fit or block map may spread its tasks over; a run_grid pool
 # worker lowers it to 1 through _one_fit_thread: its sibling workers already
 # keep the other CPUs busy, so more fit threads there gain no time and each
 # thread's block temporaries raise the worker's peak memory
-_fit_threads = os.cpu_count() or 1
+_fit_threads = _CPUS
 
 
 def _one_fit_thread():
@@ -87,8 +88,8 @@ def _one_fit_thread():
 
 @dataclass(frozen=True)
 class LMConfig:
-    """Stopping rules: the iteration cap and the relative tolerance of the
-    cost-reduction and gradient tests."""
+    """Stopping rules: the iteration cap and the tolerance of the two
+    convergence tests, relative to the cost and absolute on max |J^T r|."""
 
     max_iterations: int = 200
     rel_tolerance: float = 1e-10
@@ -204,22 +205,22 @@ def _block_edges(n_pix, n_samples):
 
 def _map_blocks(block_map, stack: StrainStack) -> StrainStack:
     """The stack, of the same kind, whose (n_frames, pixels) frames are
-    block_map applied to each of the fit's pixel blocks of stack's: the
-    blocks on which the grid denoises inside the fit.  block_map(block, out)
-    writes its result into out, the block's columns of the new frames."""
+    block_map applied on the fit's pool to each of the fit's pixel blocks
+    of stack's, on which the grid denoises inside the fit.  block_map(block,
+    out) writes its result into out, the block's columns of the new frames."""
     n = stack.n_frames
     flat = stack.frames.reshape(n, -1)
     out = np.empty(flat.shape)
     edges = _block_edges(flat.shape[1], n)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block_map(flat[:, lo:hi], out[:, lo:hi])
+    with _fit_pool(min(len(edges) - 1, _fit_threads)) as run:
+        list(run(lambda lo, hi: block_map(flat[:, lo:hi], out[:, lo:hi]), edges[:-1], edges[1:]))
     return StrainStack(out.reshape(stack.frames.shape), stack.sample_time_s, stack.kind)
 
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
-    None where that library or its symbols are absent."""
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles;
+    get returns 0 and set does nothing where it or its symbols are absent."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
         for name in sorted(os.listdir(libs)):
@@ -232,24 +233,23 @@ def _openblas_threads():
                 return get, set_
     except (OSError, AttributeError):
         pass
-    return None
+    return (lambda: 0), (lambda threads: None)
 
 
 @contextlib.contextmanager
 def _fit_pool(threads):
     """A map that runs its calls on `threads` threads, or the builtin map
-    for one thread, while BLAS runs on one thread.  Otherwise each fit
-    thread's K @ block products would start BLAS threads of their own on
-    the same CPUs; and at some pixel counts a product's last bits depend
-    on BLAS's thread count, which must not make a Kalman arm's result
-    depend on the number of fit threads or worker processes.  The thread
-    count is set back afterwards.  The pool lives only for the block:
-    run_grid forks its worker processes, and no thread may be alive at a
-    fork."""
-    blas = _openblas_threads()
-    before = blas and blas[0]()
-    if blas:
-        blas[1](1)
+    for one (a pool thread's allocator would keep its block temporaries
+    beside the caller's), while BLAS runs on one thread, its count set back
+    afterwards.  Otherwise each thread's K @ block products would start
+    BLAS threads of their own on the same CPUs, and at some pixel counts a
+    product's last bits would depend on BLAS's thread count.  That count is
+    process-wide, so straintc's block loops must not run at the same time
+    in one process.  The pool lives only for the block: run_grid forks its
+    worker processes, and no thread may be alive at a fork."""
+    get, set_ = _openblas_threads()
+    before = get()
+    set_(1)
     try:
         if threads < 2:
             yield map
@@ -257,8 +257,7 @@ def _fit_pool(threads):
             with ThreadPoolExecutor(threads) as pool:
                 yield pool.map
     finally:
-        if blas:
-            blas[1](before)
+        set_(before)
 
 
 def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=False):

@@ -96,9 +96,8 @@ def kalman_denoise(stack: StrainStack, spec: KalmanSpec = KalmanSpec()) -> Strai
     """Apply the fixed-lag smoother to every pixel of a stack of either
     kind; the result keeps the input's kind.
 
-    K is applied to the fit's pixel blocks, the blocks on which the grid's
-    Kalman arm applies it inside the fit (smoother).  BLAS picks the order
-    of each sum by the shape of the product, so a pixel's bits follow its
-    block, and the grid's arm has the bits of this function at every pixel
-    count, given the same number of BLAS threads."""
+    K is applied on the fit's pool, with BLAS on one thread, to the fit's
+    pixel blocks, as the grid's Kalman arm applies it inside the fit
+    (smoother).  BLAS picks each sum's order by the product's shape, so the
+    two give the same bits at every pixel count."""
     return _map_blocks(smoother(stack.n_frames, spec), stack)

@@ -61,7 +61,8 @@ def interpolator(mask: FrameQualityMask, sample_time_s):
     block's pixels.  Every operation acts on each pixel's column alone, so
     any split of the pixels into blocks gives the same bits.  Coefficients
     are formed only for the intervals that hold a bad frame, and the bad
-    frames are evaluated by Horner's rule in one expression.
+    frames are evaluated in place by Horner's rule: each pool thread's
+    allocator keeps the memory of a block's temporaries after the block.
     """
     if mask.n_good < MIN_KNOTS:
         raise ValueError(f"insufficient good frames: need >= {MIN_KNOTS}, got {mask.n_good}")
@@ -78,14 +79,18 @@ def interpolator(mask: FrameQualityMask, sample_time_s):
 
     def rebuild(block, out=None):
         out = np.empty(block.shape) if out is None else out
-        vals = out[good] = block[good]
+        out[good] = block[good]
         if bad.size:
-            slopes = np.diff(vals, axis=0) / h[:, None]
-            M = second_derivatives(slopes)
-            a = (M[intervals + 1] - M[intervals]) / h6_int
+            M = second_derivatives(np.diff(block[good], axis=0) / h[:, None])
             b = M[intervals] / 2.0
-            c = slopes[intervals] - h_int * (2.0 * M[intervals] + M[intervals + 1]) / 6.0
-            out[bad] = ((a[row_of] * dts + b[row_of]) * dts + c[row_of]) * dts + vals[idx]
+            c = ((block[good[intervals + 1]] - block[good[intervals]]) / h_int
+                 - h_int * (2.0 * M[intervals] + M[intervals + 1]) / 6.0)
+            y = ((M[intervals + 1] - M[intervals]) / h6_int)[row_of]
+            del M
+            for coef in (b, c, block[good[intervals]]):
+                y *= dts
+                y += coef[row_of]
+            out[bad] = y
         return out
 
     return rebuild
@@ -95,9 +100,9 @@ def reconstruct_stack(stack: StrainStack, mask: FrameQualityMask) -> StrainStack
     """Replace every bad frame of an incremental stack with per-pixel natural
     spline interpolation over the good frames (interpolator).
 
-    The pixels are rebuilt in the fit's pixel blocks (15 at 128x128x300,
-    one for a 32x32 stack), with the same bits as one whole-image pass and
-    temporaries whose size does not grow with the image.
+    The pixels are rebuilt on the fit's pool in its pixel blocks (15 at
+    128x128x300, one for a 32x32 stack), with the same bits as one whole-image
+    pass and temporaries of one block per thread, whatever the image size.
     """
     if stack.kind != "incremental":
         raise InputError("expected an incremental stack, got a cumulative one")

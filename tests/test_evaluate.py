@@ -445,7 +445,7 @@ def test_grid_caps_workers(monkeypatch, jobs, cpus, pools):
         map = staticmethod(map)
 
     monkeypatch.setattr(evaluate, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(evaluate.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(evaluate.fit_mod, "_CPUS", cpus)
     monkeypatch.setattr(evaluate.fit_mod, "_fit_threads", 2)
     res = tiny_grid(snrs=(30.0, 40.0, 60.0), trials=1, jobs=jobs)
     assert seen == pools

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -527,10 +529,9 @@ def test_fit_runs_blas_on_one_thread_and_restores_it(monkeypatch, threads):
     # thread count, so a fit runs BLAS on one thread, whatever its own
     # thread count, and sets the count back when it ends, also when a task
     # raises
-    blas = fit_mod._openblas_threads()
-    if blas is None:
+    get, set_ = fit_mod._openblas_threads()
+    if get() == 0:
         pytest.skip("numpy's OpenBLAS has no thread-count symbols")
-    get, set_ = blas
     monkeypatch.setattr(fit_mod, "_fit_threads", threads)
     curves = exp_model(TIMES[None, :], 0.02, -0.01, np.linspace(2.0, 9.0, 8)[:, None])
     seen = []
@@ -612,3 +613,17 @@ def test_rows_stalled_at_the_damping_cap_stop_with_the_cap_iterations(monkeypatc
     # the damping reaches its cap from 1e-3 in 17 rejections, after which
     # each row stops: one start, then a trial and a rebuild per iteration
     assert n_calls[40] == n_calls[200] <= 1 + 2 * 18
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_fit_threads_count_the_cpus_the_process_may_use():
+    # a process pinned to one CPU fits on one thread, and run_grid caps its
+    # workers at one, however many CPUs the machine has
+    cpu = min(os.sched_getaffinity(0))
+    code = (f"import os; os.sched_setaffinity(0, {{{cpu}}}); "
+            "from straintc import fit; print(fit._CPUS, fit._fit_threads)")
+    path = [os.path.dirname(os.path.dirname(fit_mod.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout.split() == ["1", "1"]

@@ -206,3 +206,63 @@ def test_smoother_on_the_fit_blocks_has_the_bits_of_the_whole_product(height, wi
     for lo, hi in zip(edges[:-1], edges[1:]):
         assert np.array_equal(apply(frames[:, lo:hi]), whole[:, lo:hi]), (lo, hi)
     assert np.array_equal(kalman_denoise(stack).frames.reshape(n, pixels), whole)
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, set back after the test."""
+    get, set_ = fit_mod._openblas_threads()
+    if get() == 0:
+        pytest.skip("numpy's OpenBLAS has no thread-count symbols")
+    original = get()
+    yield get, set_
+    set_(original)
+
+
+@pytest.mark.parametrize("height, width", [(15, 823), (1, 255)])
+def test_kalman_denoise_does_not_depend_on_the_blas_thread_count(blas_threads, height,
+                                                                 width):
+    # at pixel counts that are not multiples of 8 a block's last columns
+    # depend on BLAS's thread count; kalman_denoise runs BLAS on one thread,
+    # like the grid's Kalman arm, so it gives smoother's one-thread bits on
+    # the fit's blocks whatever the thread count it is called with
+    _, set_ = blas_threads
+    n, pixels = 300, height * width
+    frames = np.random.default_rng(pixels).standard_normal((n, pixels))
+    stack = StrainStack(frames.reshape(n, height, width), 0.5, "incremental")
+    apply = smoother(n)
+    edges = fit_mod._block_edges(pixels, n)
+    set_(1)
+    blocks = np.concatenate([apply(frames[:, lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])],
+                            axis=1)
+    for threads in (1, 2):
+        set_(threads)
+        out = kalman_denoise(stack).frames.reshape(n, pixels)
+        assert out.tobytes() == blocks.tobytes(), threads
+
+
+def test_kalman_denoise_restores_the_blas_thread_count(blas_threads, monkeypatch):
+    # BLAS runs on one thread while the blocks are mapped, and gets its
+    # count back afterwards, also when the block map raises
+    get, set_ = blas_threads
+    stack = StrainStack(np.random.default_rng(4).standard_normal((40, 3, 5)), 0.5,
+                        "incremental")
+    seen = []
+
+    def recording(n_frames, spec):
+        return lambda block, out: seen.append(get())
+
+    def failing(n_frames, spec):
+        def raise_(block, out):
+            raise ArithmeticError("block map failed")
+        return raise_
+
+    set_(2)
+    before = get()
+    monkeypatch.setattr(kalman, "smoother", recording)
+    kalman_denoise(stack)
+    assert seen == [1] and get() == before
+    monkeypatch.setattr(kalman, "smoother", failing)
+    with pytest.raises(ArithmeticError, match="block map failed"):
+        kalman_denoise(stack)
+    assert get() == before

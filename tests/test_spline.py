@@ -352,13 +352,16 @@ def test_reconstruction_matches_all_interval_formula(fraction, monkeypatch):
 
 def test_reconstruction_memory_does_not_grow_with_pixels(monkeypatch):
     # what reconstruct_stack allocates beyond its output is one block's
-    # temporaries, the same for 1024 and 4096 pixels (4 and 16 blocks)
+    # temporaries per thread: on one thread the same for 1024 and 4096
+    # pixels (4 and 16 blocks), and on two threads, whose blocks overlap,
+    # at most two blocks' temporaries
     n = 60
     monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 8 * n * 256)
     assert [len(fit_mod._block_edges(side * side, n)) - 1 for side in (32, 64)] == [4, 16]
     mask = mask_for(seed=9, fraction=0.75, n=n)
-    beyond = []
-    for side in (32, 64):
+
+    def beyond(side, threads):
+        monkeypatch.setattr(fit_mod, "_fit_threads", threads)
         stack = StrainStack(np.random.default_rng(side).standard_normal((n, side, side)),
                             0.5, "incremental")
         tracemalloc.start()
@@ -367,9 +370,26 @@ def test_reconstruction_memory_does_not_grow_with_pixels(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        beyond.append(peak - out.frames.nbytes)
-    small, large = beyond
+        return peak - out.frames.nbytes
+
+    small, large = beyond(32, 1), beyond(64, 1)
     assert large <= 1.05 * small + 65536, f"{small} B at 1024 pixels, {large} B at 4096"
+    two = beyond(64, 2)
+    assert two <= 2 * (1.05 * small + 65536), f"{small} B on one thread, {two} B on two"
+
+
+def test_reconstruction_does_not_depend_on_the_thread_count(monkeypatch):
+    # the blocks run on the fit's pool; 2350 pixels in blocks of 64 give
+    # each of two threads many blocks, and the bytes are those of one thread
+    monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 8 * 300 * 8)
+    mask = mask_for(seed=9, fraction=0.2)
+    stack = StrainStack(np.random.default_rng(5).standard_normal((300, 47, 50)), 0.5,
+                        "incremental")
+    outs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(fit_mod, "_fit_threads", threads)
+        outs.append(reconstruct_stack(stack, mask).frames.tobytes())
+    assert outs[0] == outs[1]
 
 
 def test_insufficient_good_frames_propagates():
