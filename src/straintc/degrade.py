@@ -14,6 +14,7 @@ stack-global sigma would leave late frames far below the nominal SNR.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class NoiseSpec:
         if not BAD_FRAME_SNR_DB < self.base_snr_db < np.inf:
             raise ValueError("base_snr_db must exceed BAD_FRAME_SNR_DB (bad frames are strictly "
                              f"worse) and be finite, got {self.base_snr_db}")
+        if not isinstance(self.rng_seed, numbers.Integral):
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 

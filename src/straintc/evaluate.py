@@ -130,8 +130,9 @@ def _trial_seed(seed, sample, snr_db, fraction, trial):
     return int(ss.generate_state(1)[0])
 
 
-def _run_cell(cell, methods, kalman_spec, lm_config, want_maps):
-    """Run one grid cell, (spec, [(noise, mask), ...]) with a pair per trial.
+def _run_cell(cell, methods, kalman_spec, lm_config, want_maps, threads=None):
+    """Run one grid cell, (spec, [(noise, mask), ...]) with a pair per trial,
+    its fits on at most `threads` threads (the fit's default when None).
 
     Returns |PRE| and coverage as (method, region, trial) arrays (NaN and 0
     for a region without pixels), the seconds of each method's fit tasks
@@ -166,7 +167,7 @@ def _run_cell(cell, methods, kalman_spec, lm_config, want_maps):
                 "spline": interpolator(mask, spec.sample_time_s)}
         fits, seconds = fit_mod._lm_engine(
             times, lambda lo, hi: add(clean(slice(lo, hi))), truth.size, lm_config,
-            [arms[method] for method in methods], incremental=True)
+            [arms[method] for method in methods], incremental=True, threads=threads)
         wall += seconds
         for i, (method, (_, _, tau, _, _, conv)) in enumerate(zip(methods, fits)):
             tc = fit_mod.TCImage(tau.reshape(shape), conv.reshape(shape))
@@ -220,9 +221,8 @@ def run_grid(samples=("A", "B", "C"), methods=METHODS, snrs=DEFAULT_SNRS,
     if workers > 1:
         # one fit thread per worker: the workers already share out the CPUs,
         # so more fit threads gain no time and only add their blocks' memory
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=fit_mod._one_fit_thread) as pool:
-            outcomes = list(pool.map(run_cell, cells))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(partial(run_cell, threads=1), cells))
     else:
         outcomes = [run_cell(cell) for cell in cells]
     results = []

@@ -23,11 +23,11 @@ several arms at once, each applying its own denoiser to every block
 before the fit.  After a short first phase it pools each arm's pixels
 still iterating in all blocks (the stragglers) into one batch, so a slow
 pixel costs one batch's iterations rather than one per block.  The
-(block, arm) tasks of the first phase run on a thread pool, one thread per
-usable CPU (numpy releases the interpreter lock inside its array loops);
-since rows are independent, the results are the same as from one thread.
-A stack is the one-arm case of the engine, and a single curve its one-pixel
-case.
+(block, arm) tasks of the first phase run on a thread pool, by default one
+thread per usable CPU (numpy releases the interpreter lock inside its
+array loops); since rows are independent, the results are the same as
+from one thread.  A stack is the one-arm case of the engine, and a single
+curve its one-pixel case.
 """
 
 from __future__ import annotations
@@ -72,18 +72,15 @@ _FIRST_PHASE = 16
 MIN_FRAMES = 4
 
 
+# the CPUs this process may use: the threads a block loop runs on by default
+# and the most worker processes run_grid starts
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# threads one fit or block map may spread its tasks over; a run_grid pool
-# worker lowers it to 1 through _one_fit_thread: its sibling workers already
-# keep the other CPUs busy, so more fit threads there gain no time and each
-# thread's block temporaries raise the worker's peak memory
-_fit_threads = _CPUS
-
-
-def _one_fit_thread():
-    """Process-pool initializer: fit every block on the calling thread."""
-    global _fit_threads
-    _fit_threads = 1
+# the block loops running in this process, which share BLAS's process-wide
+# thread count, and the count the first of them found; _blas_lock guards
+# both, and is held only around them and BLAS's get and set, never a block
+_blas_lock = threading.Lock()
+_blas_loops = 0
+_blas_before = 0
 
 
 @dataclass(frozen=True)
@@ -212,7 +209,7 @@ def _map_blocks(block_map, stack: StrainStack) -> StrainStack:
     flat = stack.frames.reshape(n, -1)
     out = np.empty(flat.shape)
     edges = _block_edges(flat.shape[1], n)
-    with _fit_pool(min(len(edges) - 1, _fit_threads)) as run:
+    with _fit_pool(len(edges) - 1) as run:
         list(run(lambda lo, hi: block_map(flat[:, lo:hi], out[:, lo:hi]), edges[:-1], edges[1:]))
     return StrainStack(out.reshape(stack.frames.shape), stack.sample_time_s, stack.kind)
 
@@ -237,30 +234,40 @@ def _openblas_threads():
 
 
 @contextlib.contextmanager
-def _fit_pool(threads):
-    """A map that runs its calls on `threads` threads, or the builtin map
-    for one (a pool thread's allocator would keep its block temporaries
-    beside the caller's), while BLAS runs on one thread, its count set back
-    afterwards.  Otherwise each thread's K @ block products would start
+def _fit_pool(tasks, threads=None):
+    """A map for `tasks` calls that runs them on min(tasks, threads or
+    _CPUS) threads, or the builtin map for one (a pool thread's allocator
+    would keep its block temporaries beside the caller's), while BLAS runs
+    on one thread.  Otherwise each thread's K @ block products would start
     BLAS threads of their own on the same CPUs, and at some pixel counts a
     product's last bits would depend on BLAS's thread count.  That count is
-    process-wide, so straintc's block loops must not run at the same time
-    in one process.  The pool lives only for the block: run_grid forks its
-    worker processes, and no thread may be alive at a fork."""
+    process-wide, so loops that overlap share one cap: the first to start
+    saves the count and sets 1, the last to end sets the saved count back.
+    The pool lives only for the block: run_grid forks its worker processes,
+    and no thread may be alive at a fork."""
+    global _blas_loops, _blas_before
     get, set_ = _openblas_threads()
-    before = get()
-    set_(1)
+    with _blas_lock:
+        if not _blas_loops:
+            _blas_before = get()
+            set_(1)
+        _blas_loops += 1
     try:
+        threads = min(tasks, threads or _CPUS)
         if threads < 2:
             yield map
         else:
             with ThreadPoolExecutor(threads) as pool:
                 yield pool.map
     finally:
-        set_(before)
+        with _blas_lock:
+            _blas_loops -= 1
+            if not _blas_loops:
+                set_(_blas_before)
 
 
-def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=False):
+def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=False,
+               threads=None):
     """Vectorized LM over n_pix curves or, when incremental, over their
     increments, which each block sums once gathered; the curves are fitted
     once per denoiser (an arm).  source(lo, hi) returns the
@@ -278,14 +285,14 @@ def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=Fals
     iterating.
 
     Pixels run in blocks of _BLOCK_BYTES per (rows, n_samples) array for
-    _FIRST_PHASE iterations, each (block, arm) pair one task, up to
-    _fit_threads tasks at a time; a block's samples are freed once its
-    last arm has gathered them.  Each arm's pixels still active in all
-    blocks then run the remaining iterations as one pooled batch, the arms'
-    batches side by side.  Tasks share only their arm's output arrays, and
-    write disjoint rows of them.  A row whose step is rejected at the
-    damping cap would repeat it up to the iteration cap, so it stops at
-    once with the cap's count.  A batch's state is the list
+    _FIRST_PHASE iterations, each (block, arm) pair one task, on at most
+    `threads` threads (_fit_pool's default when None); a block's samples
+    are freed once its last arm has gathered them.  Each arm's pixels still
+    active in all blocks then run the remaining iterations as one pooled
+    batch, the arms' batches side by side.  Tasks share only their arm's
+    output arrays, and write disjoint rows of them.  A row whose step is
+    rejected at the damping cap would repeat it up to the iteration cap,
+    so it stops at once with the cap's count.  A batch's state is the list
     [rows, y, E, resid, cost]: the output indices of its active pixels,
     their data, decay and residual rows, and current costs, compacted
     whenever a pixel finishes.  A trial step writes its decay and residual
@@ -419,7 +426,7 @@ def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=Fals
 
     tasks = [(b, arm) for b in range(len(edges) - 1) for arm in range(len(denoisers))]
     seconds = np.zeros(len(denoisers))
-    with _fit_pool(min(len(tasks), _fit_threads)) as run:
+    with _fit_pool(len(tasks), threads) as run:
         for (_, arm), (state, dt) in zip(tasks, run(first_phase, *zip(*tasks))):
             stragglers[arm].append(state)
             seconds[arm] += dt
@@ -442,6 +449,9 @@ def fit_exponential(times, values, config: LMConfig = LMConfig()) -> ExpFit:
         raise ValueError("times and values must be matching 1-D vectors")
     if times.size < MIN_FRAMES:
         raise ValueError(f"need at least {MIN_FRAMES} samples, got {times.size}")
+    for name, array in (("times", times), ("values", values)):
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{name} must be finite")
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     [(eta, gamma, tau, rnorm, iters, conv)], _ = _lm_engine(

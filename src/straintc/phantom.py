@@ -15,6 +15,7 @@ approximates s(t) - s(0).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 
 import numpy as np
@@ -86,6 +87,9 @@ class PhantomSpec:
                   self.inclusion_radius_m, self.sample_time_s, self.applied_stress_kpa)
         if not all(map(math.isfinite, floats)):
             raise ValueError("geometry, timing and stress must be finite")
+        for name in ("width_px", "height_px", "n_frames"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.width_px < 1 or self.height_px < 1:
             raise ValueError("pixel dimensions must be positive")
         if self.n_frames < 3:

@@ -61,6 +61,10 @@ def test_noise_spec_validation():
         NoiseSpec(base_snr_db=30.0, good_frame_fraction=1.5)
     with pytest.raises(ValueError, match="finite"):
         NoiseSpec(base_snr_db=np.inf)
+    # _rng would draw seed 1's mask and noise for a seed of 1.5
+    with pytest.raises(ValueError, match="rng_seed must be an integer, got 1.5"):
+        NoiseSpec(rng_seed=1.5)
+    assert NoiseSpec(rng_seed=np.int64(1)) == NoiseSpec(rng_seed=1)
     assert NoiseSpec() == NoiseSpec(30.0, 0.75, 0)
 
 

@@ -326,7 +326,7 @@ def test_two_trial_cell_holds_no_stack(monkeypatch):
     # peaks at about half a stack traced (the blocks of one task, the
     # masks and the maps), where any whole clean or degraded stack would
     # make it more than one
-    monkeypatch.setattr(fit_mod, "_fit_threads", 1)
+    monkeypatch.setattr(fit_mod, "_CPUS", 1)
     monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 256 * 300 * 8)
     assert len(fit_mod._block_edges(64 * 64, 300)) - 1 == 16
     stack = 64 * 64 * 300 * 8
@@ -342,7 +342,7 @@ def test_two_trial_cell_holds_no_stack(monkeypatch):
 def test_full_size_cell_trial_stays_below_four_stacks(monkeypatch):
     # a 128x128x300 stack is 37.5 MiB; a cell-trial builds none, and this
     # cell peaks at about 28 MiB traced with two fit threads
-    monkeypatch.setattr(fit_mod, "_fit_threads", 2)
+    monkeypatch.setattr(fit_mod, "_CPUS", 2)
     stack_bytes = 128 * 128 * 300 * 8
     tracemalloc.start()
     try:
@@ -356,7 +356,7 @@ def test_full_size_cell_trial_stays_below_four_stacks(monkeypatch):
 def test_one_trial_full_size_cell_stays_below_two_stacks(monkeypatch):
     # the costliest one-trial cell peaks at about 32 MiB traced with two fit
     # threads: the blocks in flight, the masks and the maps
-    monkeypatch.setattr(fit_mod, "_fit_threads", 2)
+    monkeypatch.setattr(fit_mod, "_CPUS", 2)
     stack_bytes = 128 * 128 * 300 * 8
     tracemalloc.start()
     try:
@@ -380,7 +380,7 @@ def test_grid_rows_match_cumulate_then_fit(monkeypatch):
             "kalman": lambda degraded, mask: kalman_denoise(degraded, KalmanSpec()),
             "spline": reconstruct_stack}
     samples, fractions, trials = ("A", "B", "C"), (0.2, 0.75), 2
-    monkeypatch.setattr(fit_mod, "_fit_threads", 2)
+    monkeypatch.setattr(fit_mod, "_CPUS", 2)
     interval = sys.getswitchinterval()
     for height, width, block_bytes, n_blocks in ((16, 16, fit_mod._BLOCK_BYTES, 1),
                                                  (16, 16, 64 * 300 * 8, 4),
@@ -428,13 +428,12 @@ def test_grid_rows_match_cumulate_then_fit(monkeypatch):
 def test_grid_caps_workers(monkeypatch, jobs, cpus, pools):
     # a recording stand-in for the pool: no worker process starts; 3 cells
     # cap the workers at 3, and one usable worker runs the cells in-process
-    # with the process's fit threads; pool workers fit on one thread each
-    seen = []
+    # with the fit's default threads; pool workers fit on one thread each
+    seen, threads = [], set()
 
     class FakePool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             seen.append(max_workers)
-            initializer()
 
         def __enter__(self):
             return self
@@ -446,10 +445,16 @@ def test_grid_caps_workers(monkeypatch, jobs, cpus, pools):
 
     monkeypatch.setattr(evaluate, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(evaluate.fit_mod, "_CPUS", cpus)
-    monkeypatch.setattr(evaluate.fit_mod, "_fit_threads", 2)
+    run_cell = evaluate._run_cell
+
+    def recording(*args, **kwargs):
+        threads.add(kwargs.get("threads"))
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "_run_cell", recording)
     res = tiny_grid(snrs=(30.0, 40.0, 60.0), trials=1, jobs=jobs)
     assert seen == pools
-    assert evaluate.fit_mod._fit_threads == (1 if pools else 2)
+    assert threads == ({1} if pools else {None})
     assert len(res) == 3 * 3 * 3
 
 

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -137,6 +139,12 @@ def test_validation_errors():
         fit_exponential([0.5, 1.0, 1.5], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         fit_exponential([0.5, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+    values = exp_model(TIMES, 0.02, -0.01, 4.66)
+    values[20] = np.nan
+    with pytest.raises(ValueError, match="values must be finite"):
+        fit_exponential(TIMES, values)
+    with pytest.raises(ValueError, match="times must be finite"):
+        fit_exponential([0.5, 1.0, 1.5, np.inf], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
         LMConfig(max_iterations=0)
     with pytest.raises(ValueError, match="max_iterations must be an integer, got 2.5"):
@@ -373,7 +381,7 @@ def test_blocked_stack_fit_matches_single_pixel_fits(multi_block_stack, monkeypa
             super().__init__(max_workers)
 
     monkeypatch.setattr(fit_mod, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(fit_mod, "_fit_threads", 3)
+    monkeypatch.setattr(fit_mod, "_CPUS", 3)
     stack = multi_block_stack
     n, h, w = stack.frames.shape
     t = frame_times(n, stack.sample_time_s)
@@ -416,7 +424,7 @@ def test_fit_of_increments_matches_fit_of_cumulate(multi_block_stack, monkeypatc
     # the fit sums an incremental stack block by block in cumulate()'s
     # order, so it gives the bits of fitting the cumulative stack; 47 of the
     # 48 rows make 2350 pixels, blocks of 832, 832 and 686
-    monkeypatch.setattr(fit_mod, "_fit_threads", threads)
+    monkeypatch.setattr(fit_mod, "_CPUS", threads)
     frames = np.diff(multi_block_stack.frames[:, :47], axis=0, prepend=0.0)
     inc = StrainStack(frames, 0.5, "incremental")
     whole = fit_stack(cumulate(inc))
@@ -463,13 +471,11 @@ def test_max_iterations_bounds_both_phases(multi_block_stack, max_iterations):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_fit_denoises_each_block_with_the_bits_of_the_whole_stack(multi_block_stack,
-                                                                  monkeypatch, threads):
+def test_fit_denoises_each_block_with_the_bits_of_the_whole_stack(multi_block_stack, threads):
     # one engine call fits three arms, each (block, arm) pair a task: the
     # noisy arm and two that denoise each of the 3 pixel blocks before the
     # running sum; every arm has the bits of denoising the whole stack, then
     # fitting it, and the source is asked for each block once, in order
-    monkeypatch.setattr(fit_mod, "_fit_threads", threads)
     n, h, w = multi_block_stack.frames.shape
     inc = StrainStack(np.diff(multi_block_stack.frames, axis=0, prepend=0.0), 0.5,
                       "incremental")
@@ -484,7 +490,7 @@ def test_fit_denoises_each_block_with_the_bits_of_the_whole_stack(multi_block_st
 
     fits, seconds = fit_mod._lm_engine(frame_times(n, 0.5), source, h * w, LMConfig(),
                                        [None, smoother(n), interpolator(mask, 0.5)],
-                                       incremental=True)
+                                       incremental=True, threads=threads)
     edges = fit_mod._block_edges(h * w, n)
     assert asked == list(zip(edges[:-1], edges[1:])) and len(asked) == 3
     assert seconds.shape == (3,) and np.all(seconds > 0)
@@ -502,7 +508,6 @@ def test_source_is_called_once_per_block_in_pixel_order(monkeypatch):
     # when four threads take successive blocks of one arm; five fits of 64
     # blocks of 64 pixels, with a short switch interval so that the threads
     # interleave
-    monkeypatch.setattr(fit_mod, "_fit_threads", 4)
     monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 64 * 300 * 8)
     tau = np.linspace(2.0, 9.0, 64 * 64)
     curves = exp_model(TIMES[None, :], 0.02, -0.01, tau[:, None])
@@ -516,14 +521,14 @@ def test_source_is_called_once_per_block_in_pixel_order(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            fit_mod._lm_engine(TIMES, source, tau.size, LMConfig(max_iterations=2))
+            fit_mod._lm_engine(TIMES, source, tau.size, LMConfig(max_iterations=2), threads=4)
     finally:
         sys.setswitchinterval(interval)
     assert asked == list(range(0, 64 * 64, 64)) * 5
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_fit_runs_blas_on_one_thread_and_restores_it(monkeypatch, threads):
+def test_fit_runs_blas_on_one_thread_and_restores_it(threads):
     # the Kalman products of two fit threads would each start BLAS threads
     # on the same CPUs, and a product's last bits can depend on BLAS's
     # thread count, so a fit runs BLAS on one thread, whatever its own
@@ -532,7 +537,6 @@ def test_fit_runs_blas_on_one_thread_and_restores_it(monkeypatch, threads):
     get, set_ = fit_mod._openblas_threads()
     if get() == 0:
         pytest.skip("numpy's OpenBLAS has no thread-count symbols")
-    monkeypatch.setattr(fit_mod, "_fit_threads", threads)
     curves = exp_model(TIMES[None, :], 0.02, -0.01, np.linspace(2.0, 9.0, 8)[:, None])
     seen = []
 
@@ -548,15 +552,101 @@ def test_fit_runs_blas_on_one_thread_and_restores_it(monkeypatch, threads):
         set_(2)
         before = get()
         [noisy, recorded], _ = fit_mod._lm_engine(
-            TIMES, lambda lo, hi: curves.T[:, lo:hi], 8, LMConfig(), [None, recording])
+            TIMES, lambda lo, hi: curves.T[:, lo:hi], 8, LMConfig(), [None, recording],
+            threads=threads)
         assert seen == [1] and get() == before
         assert np.array_equal(noisy[2], recorded[2])
         with pytest.raises(ArithmeticError):
             fit_mod._lm_engine(TIMES, lambda lo, hi: curves.T[:, lo:hi], 8, LMConfig(),
-                               [None, failing])
+                               [None, failing], threads=threads)
         assert get() == before
     finally:
         set_(original)
+
+
+def test_fit_pool_runs_one_thread_per_task_up_to_the_cpus(monkeypatch):
+    # one task, or one thread asked for, runs on the calling thread with no
+    # pool; more tasks run on one pool thread each, up to _CPUS threads or
+    # the number the caller asks for
+    pools, calling = [], []
+
+    class RecordingPool(fit_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(fit_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(fit_mod, "_CPUS", 3)
+    for tasks, threads in ((1, None), (2, None), (8, None), (8, 1), (8, 2), (1, 4)):
+        with fit_mod._fit_pool(tasks, threads) as run:
+            assert list(run(abs, range(-tasks, 0))) == list(range(tasks, 0, -1))
+            calling.append(run is map)
+    assert pools == [2, 3, 2]
+    assert calling == [True, False, False, True, False, True]
+
+
+def test_overlapping_block_loops_share_one_blas_cap(blas_threads):
+    # BLAS's thread count is process-wide, so of two block loops that
+    # overlap, the first to start sets it to one and the last to end sets
+    # it back: here the loop that starts first also ends first, and both
+    # loops see one BLAS thread throughout
+    get, set_ = blas_threads
+    set_(2)
+    before = get()
+    stack = StrainStack(np.ones((4, 1, 1)), 0.5, "incremental")
+    first_in, second_in, first_done = (threading.Event() for _ in range(3))
+    seen, waited = [], []
+
+    def block_map(entered, wait_for):
+        def apply(block, out):
+            seen.append(get())
+            entered.set()
+            waited.append(wait_for.wait(10))
+            seen.append(get())
+            out[...] = block
+        return apply
+
+    def first_loop():
+        fit_mod._map_blocks(block_map(first_in, second_in), stack)
+        first_done.set()
+
+    with ThreadPoolExecutor(1) as pool:
+        first = pool.submit(first_loop)
+        assert first_in.wait(10)
+        fit_mod._map_blocks(block_map(second_in, first_done), stack)
+        first.result()
+    assert waited == [True, True]
+    assert seen == [1, 1, 1, 1] and get() == before
+
+
+def test_block_loops_on_many_threads_keep_one_blas_cap(blas_threads):
+    # eight threads each run 2000 one-block loops that interleave often:
+    # every block sees one BLAS thread, and the count is back once all have
+    # ended (without the lock, 5 of 6 runs saw a block on two BLAS threads
+    # or the cap left on)
+    get, set_ = blas_threads
+    set_(2)
+    before = get()
+    stack = StrainStack(np.ones((4, 1, 1)), 0.5, "incremental")
+    seen = []
+
+    def apply(block, out):
+        seen.append(get())
+        out[...] = block
+
+    def loops():
+        for _ in range(2000):
+            fit_mod._map_blocks(apply, stack)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for future in [pool.submit(loops) for _ in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [1] * 16000 and get() == before
 
 
 @pytest.mark.parametrize("n_pix", [1, 35, 64, 1092, 1093, 2350, 16383, 16384, 16385])
@@ -617,13 +707,13 @@ def test_rows_stalled_at_the_damping_cap_stop_with_the_cap_iterations(monkeypatc
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
 def test_fit_threads_count_the_cpus_the_process_may_use():
-    # a process pinned to one CPU fits on one thread, and run_grid caps its
-    # workers at one, however many CPUs the machine has
+    # a process pinned to one CPU fits on one thread, with no pool, and
+    # run_grid caps its workers at one, however many CPUs the machine has
     cpu = min(os.sched_getaffinity(0))
-    code = (f"import os; os.sched_setaffinity(0, {{{cpu}}}); "
-            "from straintc import fit; print(fit._CPUS, fit._fit_threads)")
+    code = (f"import os; os.sched_setaffinity(0, {{{cpu}}}); from straintc import fit\n"
+            "with fit._fit_pool(8) as run: print(fit._CPUS, run is map)")
     path = [os.path.dirname(os.path.dirname(fit_mod.__file__)), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert run.stdout.split() == ["1", "1"]
+    assert run.stdout.split() == ["1", "True"]

@@ -208,17 +208,6 @@ def test_smoother_on_the_fit_blocks_has_the_bits_of_the_whole_product(height, wi
     assert np.array_equal(kalman_denoise(stack).frames.reshape(n, pixels), whole)
 
 
-@pytest.fixture
-def blas_threads():
-    """(get, set) of numpy's OpenBLAS thread count, set back after the test."""
-    get, set_ = fit_mod._openblas_threads()
-    if get() == 0:
-        pytest.skip("numpy's OpenBLAS has no thread-count symbols")
-    original = get()
-    yield get, set_
-    set_(original)
-
-
 @pytest.mark.parametrize("height, width", [(15, 823), (1, 255)])
 def test_kalman_denoise_does_not_depend_on_the_blas_thread_count(blas_threads, height,
                                                                  width):

@@ -58,6 +58,10 @@ def test_spec_validation():
         preset("D")
     with pytest.raises(ValueError, match="unknown preset 'a'"):
         preset("a")
+    for name in ("width_px", "height_px", "n_frames"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 32.5"):
+            preset("A", **{name: 32.5})
+    assert preset("A", width_px=np.int64(32)) == preset("A", width_px=32)
 
 
 def test_tau_map_center_and_corner():

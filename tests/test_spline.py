@@ -361,7 +361,7 @@ def test_reconstruction_memory_does_not_grow_with_pixels(monkeypatch):
     mask = mask_for(seed=9, fraction=0.75, n=n)
 
     def beyond(side, threads):
-        monkeypatch.setattr(fit_mod, "_fit_threads", threads)
+        monkeypatch.setattr(fit_mod, "_CPUS", threads)
         stack = StrainStack(np.random.default_rng(side).standard_normal((n, side, side)),
                             0.5, "incremental")
         tracemalloc.start()
@@ -387,7 +387,7 @@ def test_reconstruction_does_not_depend_on_the_thread_count(monkeypatch):
                         "incremental")
     outs = []
     for threads in (1, 2):
-        monkeypatch.setattr(fit_mod, "_fit_threads", threads)
+        monkeypatch.setattr(fit_mod, "_CPUS", threads)
         outs.append(reconstruct_stack(stack, mask).frames.tobytes())
     assert outs[0] == outs[1]
 
