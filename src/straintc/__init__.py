@@ -12,7 +12,7 @@ specs they take.  Result types import from their modules.
 """
 
 from .degrade import FrameQualityMask, NoiseSpec, add_noise, place_bad_frames
-from .evaluate import compute_pre, detect_bad_frames, format_grid_table, run_grid
+from .evaluate import compute_pre, detect_bad_frames, run_grid
 from .fit import LMConfig, cumulate, exp_model, fit_exponential, fit_stack
 from .kalman import KalmanSpec, kalman_denoise
 from .phantom import (StrainStack, frame_times, preset, synth_cumulative,
@@ -33,5 +33,5 @@ __all__ = [
     # fit
     "cumulate", "fit_stack", "fit_exponential", "exp_model",
     # evaluate
-    "compute_pre", "run_grid", "format_grid_table", "detect_bad_frames",
+    "compute_pre", "run_grid", "detect_bad_frames",
 ]

@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import numbers
 import os
 import threading
@@ -279,18 +280,19 @@ def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=Fals
 
     Returns a list with one (eta, gamma, tau, residual_norm, iterations,
     converged) tuple of arrays per arm, and an array of the seconds each
-    arm's tasks took (a block's source call counts towards the task that
-    made it).  Constant curves are degenerate for this model: they get
+    arm's tasks took (a block's source call counts towards its first arm's
+    task).  Constant curves are degenerate for this model: they get
     eta = value, gamma = 0, tau = NaN and converged = False without
     iterating.
 
     Pixels run in blocks of _BLOCK_BYTES per (rows, n_samples) array for
     _FIRST_PHASE iterations, each (block, arm) pair one task, on at most
-    `threads` threads (_fit_pool's default when None); a block's samples
-    are freed once its last arm has gathered them.  Each arm's pixels still
-    active in all blocks then run the remaining iterations as one pooled
-    batch, the arms' batches side by side.  Tasks share only their arm's
-    output arrays, and write disjoint rows of them.  A row whose step is
+    `threads` threads (_fit_pool's default when None).  A task claims the
+    next pair from one counter; a block's first arm's claim makes it, and
+    its last arm's claim lets it go.  Each arm's pixels still active in
+    all blocks then run the remaining iterations as one pooled batch, the
+    arms' batches side by side.  Tasks share only their arm's output
+    arrays, and write disjoint rows of them.  A row whose step is
     rejected at the damping cap would repeat it up to the iteration cap,
     so it stops at once with the cap's count.  A batch's state is the list
     [rows, y, E, resid, cost]: the output indices of its active pixels,
@@ -306,11 +308,24 @@ def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=Fals
              np.full(n_pix, INITIAL_DAMPING), np.zeros(n_pix, dtype=np.int64),
              np.zeros(n_pix, dtype=bool), np.zeros(n_pix)) for _ in denoisers]
 
-    def start(arm, y, lo):
+    edges = _block_edges(n_pix, n)
+    lock = threading.Lock()
+    claims = itertools.count()
+    # the block whose arms are being claimed, until its last arm's claim
+    block = None
+
+    def start():
+        # y, which the denoiser or the sum rebinds, is the task's only
+        # reference to the raw block, so no task keeps it while it iterates
+        nonlocal block
+        with lock:
+            b, arm = divmod(next(claims), len(denoisers))
+            lo, hi = edges[b], edges[b + 1]
+            y = block if arm else source(lo, hi)
+            block = None if arm == len(denoisers) - 1 else y
         eta, gamma, tau, *_, cost_out = outs[arm]
         if denoisers[arm] is not None:
             y = denoisers[arm](y)
-        hi = lo + y.shape[1]
         if incremental:
             # along a row, add.accumulate adds in cumulate()'s frame order,
             # read straight from the strided view
@@ -330,7 +345,7 @@ def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=Fals
         rows = lo + live
         E, resid, cost = _trial(times, y, e, g, t)
         cost_out[rows] = cost
-        return [rows, y, E, resid, cost]
+        return arm, [rows, y, E, resid, cost]
 
     def iterate(arm, state, n_iter):
         # take the only references to the state's arrays, so that each
@@ -391,31 +406,13 @@ def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=Fals
                 resid = resid[keep]
         return [rows, y, E, resid, cost]
 
-    edges = _block_edges(n_pix, n)
-    lock = threading.Lock()
-    # block index -> [its samples, the number of arms yet to gather them]
-    gathered = {}
-    made = 0
-
-    def gather(b):
-        nonlocal made
-        with lock:
-            while made <= b:
-                gathered[made] = [source(edges[made], edges[made + 1]), len(denoisers)]
-                made += 1
-            entry = gathered[b]
-            entry[1] -= 1
-            if not entry[1]:
-                del gathered[b]
-        return entry[0]
-
     first = min(_FIRST_PHASE, config.max_iterations)
     stragglers = [[] for _ in denoisers]
 
-    def first_phase(b, arm):
+    def first_phase(_):
         t0 = time.perf_counter()
-        state = iterate(arm, start(arm, gather(b), edges[b]), first)
-        return state, time.perf_counter() - t0
+        arm, state = start()
+        return arm, iterate(arm, state, first), time.perf_counter() - t0
 
     def last_phase(arm):
         t0 = time.perf_counter()
@@ -424,10 +421,10 @@ def _lm_engine(times, source, n_pix, config, denoisers=(None,), incremental=Fals
         iterate(arm, pooled, config.max_iterations - first)
         return time.perf_counter() - t0
 
-    tasks = [(b, arm) for b in range(len(edges) - 1) for arm in range(len(denoisers))]
+    n_tasks = (len(edges) - 1) * len(denoisers)
     seconds = np.zeros(len(denoisers))
-    with _fit_pool(len(tasks), threads) as run:
-        for (_, arm), (state, dt) in zip(tasks, run(first_phase, *zip(*tasks))):
+    with _fit_pool(n_tasks, threads) as run:
+        for arm, state, dt in run(first_phase, range(n_tasks)):
             stragglers[arm].append(state)
             seconds[arm] += dt
         seconds += list(run(last_phase, range(len(denoisers))))

@@ -104,10 +104,6 @@ class PhantomSpec:
                 or cy - r < 0 or cy + r > self.field_height_m):
             raise ValueError("inclusion circle must lie fully inside the field")
 
-    @property
-    def duration_s(self):
-        return self.n_frames * self.sample_time_s
-
 
 # Per-region (E kPa, nu, tau s) for the three built-in samples; background is
 # normal tissue, inclusion is the stiffer tumor region.

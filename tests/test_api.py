@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "place_bad_frames", "add_noise",
     "kalman_denoise", "reconstruct_stack",
     "cumulate", "fit_stack", "fit_exponential", "exp_model",
-    "compute_pre", "run_grid", "format_grid_table", "detect_bad_frames",
+    "compute_pre", "run_grid", "detect_bad_frames",
 }
 
 REPO = Path(__file__).resolve().parents[1]
@@ -27,7 +27,7 @@ TRACED_MODULES = ("phantom", "degrade", "spline", "kalman", "fit", "evaluate",
 
 
 def test_public_names_are_pinned():
-    assert len(straintc.__all__) == len(set(straintc.__all__)) == 22
+    assert len(straintc.__all__) == len(set(straintc.__all__)) == 21
     assert set(straintc.__all__) == PUBLIC_NAMES
     assert all(hasattr(straintc, name) for name in straintc.__all__)
     # the package is the only place that declares the public surface

@@ -527,6 +527,43 @@ def test_source_is_called_once_per_block_in_pixel_order(monkeypatch):
     assert asked == list(range(0, 64 * 64, 64)) * 5
 
 
+def test_arms_claim_each_block_once_in_pixel_order_under_contention(monkeypatch):
+    # three arms on four threads, with a short switch interval so that the
+    # threads interleave: the source is still asked for each of the 64
+    # blocks once, in pixel order, and every arm, its stragglers pooled
+    # after 2 iterations, has the bits of that arm fitted alone on one thread
+    monkeypatch.setattr(fit_mod, "_BLOCK_BYTES", 64 * 300 * 8)
+    monkeypatch.setattr(fit_mod, "_FIRST_PHASE", 2)
+    tau = np.linspace(2.0, 9.0, 64 * 64)
+    curves = exp_model(TIMES[None, :], 0.02, -0.01, tau[:, None])
+    curves += np.random.default_rng(3).normal(0.0, 1e-4, curves.shape)
+    inc = np.diff(curves, axis=1, prepend=0.0).T
+    mask = place_bad_frames(TIMES.size, NoiseSpec(30.0, 0.2, 4))
+    arms = [None, smoother(TIMES.size), interpolator(mask, 0.5)]
+    config = LMConfig(max_iterations=6)
+    asked = []
+
+    def source(lo, hi):
+        asked.append(lo)
+        return inc[:, lo:hi]
+
+    alone = [fit_mod._lm_engine(TIMES, lambda lo, hi: inc[:, lo:hi], tau.size, config, [arm],
+                                incremental=True, threads=1)[0][0] for arm in arms]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            asked.clear()
+            fits, _ = fit_mod._lm_engine(TIMES, source, tau.size, config, arms,
+                                         incremental=True, threads=4)
+            assert asked == list(range(0, 64 * 64, 64))
+            for together, single in zip(fits, alone):
+                for a, b in zip(together, single):
+                    assert np.array_equal(a, b, equal_nan=True)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fit_runs_blas_on_one_thread_and_restores_it(threads):
     # the Kalman products of two fit threads would each start BLAS threads

@@ -32,7 +32,6 @@ def test_preset_defaults_match_protocol():
     assert (spec.width_px, spec.height_px) == (128, 128)
     assert spec.n_frames == 300
     assert spec.sample_time_s == 0.5
-    assert spec.duration_s == 150.0
     assert spec.field_width_m == 0.04
     assert spec.inclusion_radius_m == 0.0075
     assert spec.applied_stress_kpa == 1.0
@@ -126,7 +125,8 @@ def test_synth_incremental_decays_to_zero(small_spec):
 def test_synth_cumulative_steady_state(small_spec):
     eta, gamma, tau = param_maps(small_spec)
     frames = synth_cumulative(small_spec).frames
-    gap = np.abs(gamma) * np.exp(-small_spec.duration_s / tau)  # residual transient
+    duration = small_spec.n_frames * small_spec.sample_time_s
+    gap = np.abs(gamma) * np.exp(-duration / tau)  # residual transient
     assert np.all(np.abs(frames[-1] - eta) <= gap + 1e-15)
     assert gap.max() < 1e-7
 
